@@ -433,6 +433,10 @@ class HVDBProtocolAgent(ProtocolAgent):
         my_address = self.model.address_of_ch(self.node_id)
         if payload["hid"] != my_address.hid:
             return
+        if payload["hnid"] == my_address.hnid:
+            # sent under an older model by a CH that now maps to our own
+            # hypercube node: there is no logical link to ourselves
+            return
         table = self._ensure_route_table()
         # measure the logical-link QoS from the beacon itself
         delay = max(1e-4, self.now - float(payload["sent_at"]))

@@ -18,30 +18,27 @@
   grow each grid point's seed set until a target CI half-width is met
   (:func:`run_sweep_adaptive`).
 * :mod:`repro.experiments.executors` -- registry-driven run-execution
-  backends behind :func:`run_sweep`: in-process ``serial``, the default
-  ``process`` pool, a ``thread`` pool, and a ``queue`` of file-leased
-  runs that any number of worker processes or machines sharing one
-  filesystem drain cooperatively (``python -m repro.experiments
-  worker``); the backend choice never enters cache keys, so results are
-  byte-identical across executors.
+  backends behind :func:`run_sweep`: in-process ``serial`` and the
+  default ``process`` pool (the networked ``tcp`` backend lives in
+  :mod:`repro.experiments.net`); the backend choice never enters cache
+  keys, so results are byte-identical across executors.
 * :mod:`repro.experiments.net` -- the networked ``tcp`` executor: a
   driver-side :class:`Coordinator` leases runs over length-prefixed,
   versioned protocol frames to workers on any reachable machine
   (``python -m repro.experiments worker --connect HOST:PORT``), with
-  heartbeats, stale-lease reclaim and streamed results -- the queue's
-  work-stealing semantics without the shared filesystem.  The shared
-  lease state machine lives in :mod:`repro.experiments.leases`.
+  heartbeats, stale-lease reclaim and streamed results.  The lease
+  state machine lives in :mod:`repro.experiments.leases`.
 * :mod:`repro.experiments.specs` -- the registry of named sweeps (the
   benchmark grids E2/E3/E5/E6/E7/E8/A1/A2, the example scenarios, a
   smoke sweep) plus their registered hooks and collectors.
 * :mod:`repro.experiments.stores` -- registry-driven *result-store
   backends* behind every cache path: the default ``json``
-  directory-of-files layout, a single-file columnar ``sqlite`` store
-  (WAL, concurrent-writer safe), and a ``parquet`` store when pyarrow
-  is importable.  Everywhere a cache path is accepted, a store spec
-  like ``sqlite:results.db`` picks the backend; like the executor, the
-  store never enters cache keys, so artifacts are byte-identical across
-  backends and caches migrate freely (:func:`merge_caches`).
+  directory-of-files layout and a single-file columnar ``sqlite`` store
+  (WAL, concurrent-writer safe).  Everywhere a cache path is accepted,
+  a store spec like ``sqlite:results.db`` picks the backend; like the
+  executor, the store never enters cache keys, so artifacts are
+  byte-identical across backends and caches migrate freely
+  (:func:`merge_caches`).
 * :mod:`repro.experiments.perf` -- wall-time perf-regression tracking:
   compare the per-run wall times of two result sets (result stores,
   exported artifacts, or cache generations) point by point, and append
@@ -52,11 +49,10 @@
   ``migrate`` / ``perf`` /
   ``protocols`` (registered components + spec-coverage check) /
   ``executors`` (registered backends) / ``stores`` (registered result
-  stores) / ``worker`` (attach to a queue directory, or to a tcp
-  coordinator with ``--connect``), with ``--shard
-  I/N`` splitting a grid across share-nothing CI jobs, ``--executor
-  NAME`` picking the execution backend and ``--store NAME`` the
-  persistence backend.
+  stores) / ``worker`` (attach to a tcp coordinator with
+  ``--connect``), with ``--shard I/N`` splitting a grid across
+  share-nothing CI jobs, ``--executor NAME`` picking the execution
+  backend and ``--store NAME`` the persistence backend.
 
 Minimal single run::
 
@@ -92,12 +88,10 @@ from repro.experiments.executors import (
     DEFAULT_EXECUTOR,
     EXECUTORS,
     Executor,
-    WorkQueue,
     WorkerTaskError,
     available_executors,
     make_executor,
     register_executor,
-    run_worker,
 )
 from repro.experiments.leases import (
     DEFAULT_STALE_AFTER,
@@ -118,7 +112,6 @@ from repro.experiments.orchestrator import (
     SpecError,
     RunSpec,
     RunResult,
-    ResultCache,
     AdaptiveCI,
     AdaptiveResult,
     PointConvergence,
@@ -181,7 +174,6 @@ from repro.experiments.stores import (
     parse_store_spec,
     register_store,
     store_exists,
-    unavailable_stores,
 )
 from repro.experiments.specs import (
     SPECS,
@@ -207,7 +199,6 @@ __all__ = [
     "SpecError",
     "RunSpec",
     "RunResult",
-    "ResultCache",
     "AdaptiveCI",
     "AdaptiveResult",
     "PointConvergence",
@@ -223,12 +214,10 @@ __all__ = [
     "DEFAULT_EXECUTOR",
     "EXECUTORS",
     "Executor",
-    "WorkQueue",
     "WorkerTaskError",
     "available_executors",
     "make_executor",
     "register_executor",
-    "run_worker",
     "DEFAULT_STALE_AFTER",
     "ExecutorStats",
     "LeaseTable",
@@ -269,7 +258,6 @@ __all__ = [
     "store_exists",
     "parse_store_spec",
     "available_stores",
-    "unavailable_stores",
     "summarize",
     "mean_ci95",
     "export_csv",

@@ -8,7 +8,6 @@
     python -m repro.experiments stores
     python -m repro.experiments run SWEEP [--executor NAME] [--store NAME] ...
     python -m repro.experiments resume SWEEP [...]
-    python -m repro.experiments worker --queue-dir DIR [--stale-after S]
     python -m repro.experiments worker --connect HOST:PORT
     python -m repro.experiments export SWEEP --out DIR [...]
     python -m repro.experiments merge SWEEP --cache-dir DEST --from DIR ...
@@ -18,18 +17,15 @@
 
 ``run`` executes a registered sweep (see ``list``) through a registered
 *executor backend* (see ``executors``: in-process ``serial``, the
-default ``process`` pool, a ``thread`` pool, a shared-directory
-``queue`` drained by worker processes on any machine that mounts it, or
-a networked ``tcp`` coordinator drained by workers on any machine that
-can reach ``--host``/``--port``), caching finished runs under
-``--cache-dir`` so an interrupted or repeated invocation only executes
-what is missing; ``resume`` is ``run`` with the additional guarantee
-that it refuses to start from a cold cache (catching a mistyped
-``--cache-dir``).  ``worker`` attaches to a live sweep and executes runs
-it leases -- via atomic file leases on a ``queue`` directory
-(``--queue-dir``), or over a socket to a ``tcp`` coordinator
-(``--connect HOST:PORT``) -- until the driver closes the sweep (see
-``docs/executors.md`` and ``docs/networked-executor.md``).
+default ``process`` pool, or a networked ``tcp`` coordinator drained by
+workers on any machine that can reach ``--host``/``--port``), caching
+finished runs under ``--cache-dir`` so an interrupted or repeated
+invocation only executes what is missing; ``resume`` is ``run`` with the
+additional guarantee that it refuses to start from a cold cache
+(catching a mistyped ``--cache-dir``).  ``worker`` connects to a live sweep's ``tcp``
+coordinator (``--connect HOST:PORT``) and executes the runs it leases
+until the driver closes the sweep (see ``docs/executors.md`` and
+``docs/networked-executor.md``).
 ``export`` rebuilds the CSV/JSON artifacts purely from cached results
 without running anything.
 
@@ -82,10 +78,7 @@ from typing import List, Optional, Sequence
 
 from repro.experiments.executors import (
     DEFAULT_EXECUTOR,
-    DEFAULT_QUEUE_DIR,
-    DEFAULT_STALE_AFTER,
     available_executors,
-    run_worker,
 )
 from repro.experiments.net import (
     DEFAULT_HOST,
@@ -129,7 +122,6 @@ from repro.experiments.stores import (
     available_stores,
     parse_store_spec,
     store_exists,
-    unavailable_stores,
 )
 from repro.metrics.collectors import format_table
 from repro.registry import RegistryError
@@ -240,8 +232,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=max(1, min(4, os.cpu_count() or 1)),
-            help="backend parallelism: pool size for process/thread, locally "
-            "spawned worker processes for queue (0 = rely on externally "
+            help="backend parallelism: pool size for process, locally "
+            "spawned worker processes for tcp (0 = rely on externally "
             "attached workers); default: min(4, cpu count)",
         )
         p.add_argument(
@@ -250,12 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="NAME",
             help="run-execution backend (see `executors`); default: the "
             f"spec's, else {DEFAULT_EXECUTOR!r}",
-        )
-        p.add_argument(
-            "--queue-dir",
-            default=DEFAULT_QUEUE_DIR,
-            help="queue executor only: shared queue directory workers attach "
-            f"to (default: {DEFAULT_QUEUE_DIR})",
         )
         p.add_argument(
             "--host",
@@ -339,22 +325,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "worker",
-        help="attach to a live sweep and execute leased runs: a queue "
-        "executor's shared directory (--queue-dir) or a tcp coordinator "
-        "(--connect HOST:PORT) for multi-machine sweeps",
-    )
-    p.add_argument(
-        "--queue-dir",
-        default=DEFAULT_QUEUE_DIR,
-        help=f"shared queue directory (default: {DEFAULT_QUEUE_DIR})",
+        help="attach to a live sweep's tcp coordinator and execute the "
+        "runs it leases (multi-machine sweeps)",
     )
     p.add_argument(
         "--connect",
-        default=None,
+        required=True,
         metavar="HOST:PORT",
-        help="attach to a tcp-executor coordinator over the network "
-        "instead of a queue directory (--queue-dir/--stale-after are "
-        "then ignored; staleness is judged by the coordinator)",
+        help="address of the tcp-executor coordinator (lease staleness "
+        "is judged by the coordinator)",
     )
     p.add_argument(
         "--worker-id",
@@ -365,14 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--poll-interval",
         type=float,
         default=0.5,
-        help="seconds between scans for claimable tasks (default: 0.5)",
-    )
-    p.add_argument(
-        "--stale-after",
-        type=float,
-        default=DEFAULT_STALE_AFTER,
-        help="seconds without a heartbeat before another worker's lease "
-        f"counts as abandoned and is stolen (default: {DEFAULT_STALE_AFTER:g})",
+        help="seconds between lease requests while no run is pending "
+        "(default: 0.5)",
     )
     p.add_argument(
         "--max-tasks",
@@ -384,8 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--forever",
         action="store_true",
         help="keep serving sweep after sweep instead of exiting once the "
-        "driver closes the queue (with --connect: keep reconnecting "
-        "after the coordinator says goodbye)",
+        "driver closes the sweep (keep reconnecting after the "
+        "coordinator says goodbye)",
     )
     p.add_argument(
         "--quiet",
@@ -741,52 +714,26 @@ def _cmd_stores() -> int:
             f"sqlite:results.db; default: {DEFAULT_STORE})",
         )
     )
-    missing = unavailable_stores()
-    if missing:
-        for name, reason in missing:
-            print(f"(optional backend {name!r} not registered: {reason})")
     return 0
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    if args.connect is not None:
-        try:
-            address = parse_address(args.connect)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
-        if not args.quiet:
-            print(
-                f"worker: connecting to coordinator at {args.connect}",
-                file=sys.stderr,
-            )
-        executed = run_net_worker(
-            address,
-            worker_id=args.worker_id,
-            poll_interval=args.poll_interval,
-            max_tasks=args.max_tasks,
-            forever=args.forever,
-            progress=not args.quiet,
-        )
-        if not args.quiet:
-            print(f"worker: executed {executed} run(s) from {args.connect}")
-        return 0
+    try:
+        address = parse_address(args.connect)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     if not args.quiet:
-        print(
-            f"worker: attaching to queue {args.queue_dir!r} "
-            f"(stale leases stolen after {args.stale_after:g}s)",
-            file=sys.stderr,
-        )
-    executed = run_worker(
-        args.queue_dir,
+        print(f"worker: connecting to coordinator at {args.connect}", file=sys.stderr)
+    executed = run_net_worker(
+        address,
         worker_id=args.worker_id,
         poll_interval=args.poll_interval,
-        stale_after=args.stale_after,
         max_tasks=args.max_tasks,
-        exit_when_closed=not args.forever,
+        forever=args.forever,
         progress=not args.quiet,
     )
     if not args.quiet:
-        print(f"worker: executed {executed} run(s) from {args.queue_dir}")
+        print(f"worker: executed {executed} run(s) from {args.connect}")
     return 0
 
 
@@ -803,21 +750,12 @@ def _cmd_run(args: argparse.Namespace, require_cache: bool) -> int:
         )
         return 2
     shard = parse_shard(args.shard) if args.shard else None
-    # only the work-stealing backends take options; run_sweep resolves
+    # only the work-stealing backend takes options; run_sweep resolves
     # the name eagerly (RegistryError with alternatives) before any state
     # is touched
     executor = args.executor or spec.executor or DEFAULT_EXECUTOR
     executor_options = {}
-    if executor == "queue":
-        executor_options["queue_dir"] = args.queue_dir
-        # the queue's result store follows the sweep's, so worker
-        # publishing scales the same way the main cache does
-        queue_store = store or (
-            parse_store_spec(cache_dir)[0] if cache_dir is not None else None
-        )
-        if queue_store is not None:
-            executor_options["store"] = queue_store
-    elif executor == "tcp":
+    if executor == "tcp":
         # the tcp coordinator streams results back to this process; the
         # result store stays driver-local and never crosses the wire
         executor_options["host"] = args.host
@@ -1163,8 +1101,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
-        # a queue worker is normally detached by Ctrl-C; its completed
-        # work is already published, so this is a clean exit
+        # a worker is normally detached by Ctrl-C; its completed work is
+        # already streamed back, so this is a clean exit
         print(f"{args.command}: interrupted", file=sys.stderr)
         return 130
     except KeyError as exc:

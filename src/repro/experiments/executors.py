@@ -8,53 +8,24 @@ protocol/radio/mac/mobility registries of :mod:`repro.registry`): an
 :class:`~repro.experiments.orchestrator.RunResult`\\ s, and the
 orchestrator dispatches through :data:`EXECUTORS` instead of branching.
 
-Four backends ship:
+Two in-process backends ship here:
 
 * ``serial`` -- a plain in-process loop; the debuggable reference
   implementation (breakpoints and profilers work, nothing forks).
 * ``process`` -- the previous behaviour and the registered **default**: a
   forked :class:`~concurrent.futures.ProcessPoolExecutor` of ``workers``
   processes (falling back to the serial loop for one worker or one run).
-* ``thread`` -- a :class:`~concurrent.futures.ThreadPoolExecutor`; cheap
-  to start, good enough for IO-light smoke grids and CI, but the
-  simulator is pure Python so the GIL caps real speed-up.
-* ``queue`` -- a *work-stealing queue over a shared directory*: the
-  driver enqueues each pending run as a task file, and any number of
-  share-nothing worker processes -- on this machine
-  (``run --executor queue --workers N`` spawns them) or on any machine
-  that mounts the same filesystem (``python -m repro.experiments worker
-  --queue-dir DIR``) -- claim individual runs via atomic file leases
-  (``O_EXCL`` claim files with heartbeat + stale-lease reclaim) and
-  write results back through the queue's *result store* -- any backend
-  registered in :mod:`repro.experiments.stores` (the default ``json``
-  directory, or e.g. ``sqlite`` whose WAL mode lets every worker
-  publish into one database file concurrently).
 
-A fifth backend, ``tcp``, lives in :mod:`repro.experiments.net`: the
-same lease protocol over sockets instead of a shared mount (workers
-attach with ``python -m repro.experiments worker --connect HOST:PORT``).
-The lease/heartbeat/stale-reclaim rules both work-stealing backends
-share -- including :data:`DEFAULT_STALE_AFTER`, re-exported here --
-live in :mod:`repro.experiments.leases`.
+A third backend, ``tcp``, lives in :mod:`repro.experiments.net`: a
+work-stealing coordinator that leases runs over sockets to workers on
+any reachable machine (``python -m repro.experiments worker --connect
+HOST:PORT``).  Its lease/heartbeat/stale-reclaim rules live in
+:mod:`repro.experiments.leases`.
 
 Which backend runs is a *sweep-cosmetic* choice: it is excluded from
 cache keys and artifacts, so a warm cache populated under one executor
 replays with zero executions under every other, and the merged artifact
 set is byte-identical across backends.
-
-Queue directory layout (see ``docs/executors.md`` for the protocol)::
-
-    <queue-dir>/
-      tasks/<key>.task     pickled RunSpec, one file per pending run
-      claims/<key>.claim   O_EXCL lease; mtime is the worker's heartbeat
-      results/<key>.json   the result store, keyed by the run's cache_key
-                           (a sqlite-backed queue uses ``results.db``)
-      errors/<key>.json    terminal per-run failure, reported to the driver
-      workers/<id>         liveness marker, touched by each worker per scan
-      reclaims/<id>.json   one record per broken stale lease (churn counters)
-      store                the driver's chosen result-store backend name
-                           (absent = the default ``json`` layout)
-      closed               sentinel: the driver is done; idle workers exit
 
 Register third-party backends exactly like built-ins::
 
@@ -67,20 +38,10 @@ Register third-party backends exactly like built-ins::
 
 from __future__ import annotations
 
-import copy
-import json
-import os
-import pickle
-import re
-import socket
-import subprocess
 import sys
-import threading
-import time
-import uuid
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.experiments.leases import DEFAULT_STALE_AFTER, ExecutorStats, is_stale
+from repro.experiments.leases import ExecutorStats
 from repro.registry import Registry
 
 #: executor-backend factories; ``SweepSpec.executor`` / ``--executor``
@@ -101,10 +62,6 @@ EXECUTORS = Registry(
 #: the pre-registry behaviour (a local process pool)
 DEFAULT_EXECUTOR = "process"
 
-#: default shared-queue directory of the ``queue`` backend and the
-#: ``worker`` CLI subcommand
-DEFAULT_QUEUE_DIR = ".repro-queue"
-
 
 def register_executor(name: str) -> Callable:
     """Register an :class:`Executor` factory (usually the class) under ``name``."""
@@ -118,10 +75,8 @@ def make_executor(name, **options: Any) -> "Executor":
     registered alternatives -- the orchestrator calls this eagerly, before
     any run executes, so a typo'd ``--executor`` fails like a typo'd
     protocol name.  ``options`` are backend keyword arguments (the
-    ``queue`` backend takes ``queue_dir``/``poll_interval``/
-    ``stale_after``/``store``; the ``tcp`` backend takes ``host``/
-    ``port``/``poll_interval``/``stale_after``; the in-process backends
-    take none).
+    ``tcp`` backend takes ``host``/``port``/``poll_interval``/
+    ``stale_after``; the in-process backends take none).
 
     An already-constructed :class:`Executor` instance passes through
     unchanged (``options`` must then be empty) -- callers that need to
@@ -156,7 +111,7 @@ def _log(progress: bool, message: str) -> None:
 
 
 class WorkerTaskError(RuntimeError):
-    """A queued run failed remotely (or its workers disappeared)."""
+    """A leased run failed remotely (or its workers disappeared)."""
 
 
 class Executor:
@@ -169,14 +124,13 @@ class Executor:
     thereby cached) before the caller raises.  The caller keys results
     itself, so record order may be completion order; determinism of the
     final result list is the orchestrator's job, and cache semantics are
-    carried entirely by ``record``.  ``fresh=True`` (a ``--force`` run)
-    tells a backend with its own result store (the queue) to discard and
-    re-execute rather than replay.
+    carried entirely by ``record``.
 
-    Backends with external state (the queue's local worker processes)
-    release it in :meth:`close`, which the orchestrator always calls --
-    an executor instance may serve several :meth:`map_runs` batches
-    first (the adaptive loop schedules one batch per round).
+    Backends with external state (the tcp coordinator's socket and its
+    local worker processes) release it in :meth:`close`, which the
+    orchestrator always calls -- an executor instance may serve several
+    :meth:`map_runs` batches first (the adaptive loop schedules one
+    batch per round).
     """
 
     #: registered name, for progress lines and error messages
@@ -192,7 +146,6 @@ class Executor:
         workers: int,
         label: str,
         progress: bool,
-        fresh: bool = False,
     ) -> None:
         raise NotImplementedError
 
@@ -204,14 +157,14 @@ class Executor:
         """Churn counters for the run summary, or None.
 
         In-process backends have no worker churn and return None; the
-        work-stealing backends (queue, tcp) report leases reclaimed,
+        work-stealing ``tcp`` backend reports leases reclaimed,
         workers seen/lost and runs re-executed, cumulative across every
         :meth:`map_runs` batch this instance served.
         """
         return None
 
     def close(self) -> None:
-        """Release backend state (processes, sentinels); idempotent."""
+        """Release backend state (sockets, processes); idempotent."""
 
     def _serial_loop(self, pending, execute, record, fail) -> None:
         for key, run in pending:
@@ -220,19 +173,6 @@ class Executor:
             except Exception as exc:
                 fail(run, exc)
 
-    def _pool_loop(self, pending, execute, record, fail, pool) -> None:
-        """The shared submit/drain loop of the in-process pool backends."""
-        import concurrent.futures
-
-        with pool:
-            futures = {pool.submit(execute, run): (key, run) for key, run in pending}
-            for future in concurrent.futures.as_completed(futures):
-                key, run = futures[future]
-                try:
-                    record(key, future.result())
-                except Exception as exc:
-                    fail(run, exc)
-
 
 @register_executor("serial")
 class SerialExecutor(Executor):
@@ -240,31 +180,11 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def map_runs(self, pending, execute, record, fail, *, workers, label, progress,
-                 fresh=False):
+    def map_runs(self, pending, execute, record, fail, *, workers, label, progress):
         self._serial_loop(pending, execute, record, fail)
 
     def describe(self, workers: int) -> str:
         return "1 worker(s) [serial]"
-
-
-@register_executor("thread")
-class ThreadExecutor(Executor):
-    """Thread pool: cheap startup for IO-light smoke/CI grids (GIL-bound)."""
-
-    name = "thread"
-
-    def map_runs(self, pending, execute, record, fail, *, workers, label, progress,
-                 fresh=False):
-        if workers <= 1 or len(pending) <= 1:
-            self._serial_loop(pending, execute, record, fail)
-            return
-        import concurrent.futures
-
-        pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(workers, len(pending))
-        )
-        self._pool_loop(pending, execute, record, fail, pool)
 
 
 @register_executor("process")
@@ -273,8 +193,7 @@ class ProcessExecutor(Executor):
 
     name = "process"
 
-    def map_runs(self, pending, execute, record, fail, *, workers, label, progress,
-                 fresh=False):
+    def map_runs(self, pending, execute, record, fail, *, workers, label, progress):
         if workers <= 1 or len(pending) <= 1:
             self._serial_loop(pending, execute, record, fail)
             return
@@ -285,674 +204,13 @@ class ProcessExecutor(Executor):
             context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
             context = multiprocessing.get_context()
-        pool = concurrent.futures.ProcessPoolExecutor(
+        with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(workers, len(pending)), mp_context=context
-        )
-        self._pool_loop(pending, execute, record, fail, pool)
-
-
-# ---------------------------------------------------------------------------
-# The shared work queue (file-lease work stealing)
-# ---------------------------------------------------------------------------
-
-
-def _atomic_write(path: str, blob: bytes) -> None:
-    tmp = f"{path}.tmp-{uuid.uuid4().hex[:8]}"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
-
-
-class WorkQueue:
-    """Filesystem layout and lease protocol of one shared queue directory.
-
-    Every operation is safe for any number of share-nothing processes on
-    a common filesystem: task/result/error writes are atomic (tmp file +
-    rename), and a lease is an ``O_CREAT | O_EXCL`` claim file -- exactly
-    one claimer wins -- whose mtime the holder refreshes as a heartbeat.
-    A claim whose heartbeat is older than ``stale_after`` is abandoned
-    (the worker crashed mid-run): the first worker to notice *renames*
-    the stale claim aside (again, exactly one renamer wins) and races for
-    a fresh claim, so a crashed worker's run is re-executed instead of
-    wedging the sweep.
-
-    Task ids are the runs' content-hash cache keys, which makes the
-    queue's results literally a result store
-    (:mod:`repro.experiments.stores`): a worker publishes a finished run
-    with ``store.put`` and the driver polls ``store.get`` -- the same
-    on-disk contract every other cache consumer (merge, export, perf)
-    already speaks.  The driver records its chosen backend name in the
-    ``store`` file (:meth:`set_result_store`) *before* enqueuing tasks;
-    workers re-read it (:meth:`open_results`) so long-lived ``--forever``
-    workers follow the store across sweeps.
-    """
-
-    def __init__(self, root: str) -> None:
-        self.root = root
-        self.tasks_dir = os.path.join(root, "tasks")
-        self.claims_dir = os.path.join(root, "claims")
-        self.results_dir = os.path.join(root, "results")
-        self.errors_dir = os.path.join(root, "errors")
-        self.workers_dir = os.path.join(root, "workers")
-        self.reclaims_dir = os.path.join(root, "reclaims")
-        self.closed_path = os.path.join(root, "closed")
-        self.store_path = os.path.join(root, "store")
-        # one shared probe per queue dir (not per process): any
-        # participant's recent touch approximates "filesystem now", and a
-        # fixed name leaves exactly one file instead of per-pid litter
-        self._probe_path = os.path.join(root, ".clock")
-
-    def _fs_now(self) -> float:
-        """The shared filesystem's current time, as an mtime.
-
-        Lease staleness must compare a claim's heartbeat mtime against
-        the *filesystem's* clock, not this process's: on a network
-        filesystem the machines' clocks can disagree by more than
-        ``stale_after``, which would make a fast-clocked worker steal
-        live leases (or a slow-clocked one never reclaim dead ones).
-        Touching a probe file and reading its mtime samples the same
-        clock the heartbeats are stamped with.
-        """
-        try:
-            with open(self._probe_path, "w", encoding="utf-8"):
-                pass
-            return os.path.getmtime(self._probe_path)
-        except OSError:  # pragma: no cover - unwritable/racing queue dir
-            return time.time()
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def ensure(self) -> None:
-        """Create the layout; any participant may call this first."""
-        for path in (
-            self.tasks_dir,
-            self.claims_dir,
-            self.results_dir,
-            self.errors_dir,
-            self.workers_dir,
-            self.reclaims_dir,
-        ):
-            os.makedirs(path, exist_ok=True)
-
-    def reopen(self) -> None:
-        """Driver-side: (re)start a sweep -- clear a stale closed sentinel."""
-        self.ensure()
-        try:
-            os.unlink(self.closed_path)
-        except FileNotFoundError:
-            pass
-
-    def close(self) -> None:
-        """Driver-side: the sweep is done; idle workers may exit."""
-        self.ensure()
-        _atomic_write(self.closed_path, b"closed\n")
-
-    def is_closed(self) -> bool:
-        return os.path.exists(self.closed_path)
-
-    # -- tasks -------------------------------------------------------------
-
-    def _task_path(self, task_id: str) -> str:
-        return os.path.join(self.tasks_dir, f"{task_id}.task")
-
-    def enqueue(self, task_id: str, run: Any) -> None:
-        """Publish one pending run (a picklable RunSpec) under ``task_id``."""
-        _atomic_write(self._task_path(task_id), pickle.dumps(run))
-
-    def load_task(self, task_id: str) -> Any:
-        """Unpickle a task; raises ``OSError`` if it was finished meanwhile."""
-        with open(self._task_path(task_id), "rb") as fh:
-            return pickle.loads(fh.read())
-
-    def task_ids(self) -> List[str]:
-        """Pending task ids, sorted (claimed tasks included until finished)."""
-        try:
-            names = os.listdir(self.tasks_dir)
-        except FileNotFoundError:
-            return []
-        return sorted(name[: -len(".task")] for name in names if name.endswith(".task"))
-
-    def finish(self, task_id: str) -> None:
-        """Remove a completed task file (its result/error is published)."""
-        try:
-            os.unlink(self._task_path(task_id))
-        except FileNotFoundError:
-            pass
-
-    # -- results -----------------------------------------------------------
-
-    def set_result_store(self, name: Optional[str]) -> None:
-        """Driver-side: record the sweep's result-store backend choice.
-
-        Written before any task is enqueued, so a worker that claims one
-        always publishes into the store the driver will poll.  ``None``
-        resets to the default (the file is removed), which keeps a queue
-        directory reusable across sweeps with different stores.
-        """
-        if name is None:
-            try:
-                os.unlink(self.store_path)
-            except FileNotFoundError:
-                pass
-            return
-        _atomic_write(self.store_path, f"{name}\n".encode("utf-8"))
-
-    def result_store_name(self) -> str:
-        """The backend name the driver recorded (default when absent)."""
-        from repro.experiments.stores import DEFAULT_STORE
-
-        try:
-            with open(self.store_path, "r", encoding="utf-8") as fh:
-                name = fh.read().strip()
-        except OSError:
-            return DEFAULT_STORE
-        return name or DEFAULT_STORE
-
-    def open_results(self) -> Any:
-        """Open this queue's result store at its conventional location.
-
-        Each backend declares where it lives relative to the queue root
-        (``results/`` for directory layouts, ``results.db`` for sqlite),
-        so every participant -- driver, workers, and a later ``merge`` of
-        the queue's results -- derives the same location from the queue
-        directory alone.
-        """
-        from repro.experiments.stores import STORES, ResultStore
-
-        factory = STORES.get(self.result_store_name())
-        relative = getattr(factory, "queue_filename", ResultStore.queue_filename)
-        return factory(os.path.join(self.root, relative))
-
-    def discard_result(self, task_id: str) -> None:
-        """Drop a published result (a ``--force`` sweep re-executes it)."""
-        store = self.open_results()
-        try:
-            store.delete(task_id)
-        finally:
-            store.close()
-
-    # -- leases ------------------------------------------------------------
-
-    def _claim_path(self, task_id: str) -> str:
-        return os.path.join(self.claims_dir, f"{task_id}.claim")
-
-    def claim(self, task_id: str, worker_id: str, stale_after: float) -> bool:
-        """Try to lease ``task_id``; True iff this worker now holds it.
-
-        A live claim (heartbeat within ``stale_after``) is never touched.
-        A stale one is broken by atomically renaming it aside first, so
-        of any number of workers noticing the same dead lease exactly one
-        proceeds to the (again exclusive) re-claim.
-        """
-        path = self._claim_path(task_id)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            try:
-                age = self._fs_now() - os.path.getmtime(path)
-            except OSError:
-                return False  # released concurrently; rescan
-            if not is_stale(age, stale_after):
-                return False
-            tomb = f"{path}.stale-{uuid.uuid4().hex[:8]}"
-            try:
-                os.replace(path, tomb)
-            except OSError:
-                return False  # another worker broke it first
-            try:
-                with open(tomb, "r", encoding="utf-8") as fh:
-                    old_owner = fh.read()
-            except OSError:  # pragma: no cover - racing cleanup
-                old_owner = ""
-            os.unlink(tomb)
-            self.record_reclaim(task_id, old_owner, worker_id)
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                return False
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(worker_id)
-        return True
-
-    def claim_owner(self, task_id: str) -> Optional[str]:
-        """The worker id recorded in the claim file, or None if unclaimed."""
-        try:
-            with open(self._claim_path(task_id), "r", encoding="utf-8") as fh:
-                return fh.read()
-        except OSError:
-            return None
-
-    def heartbeat(self, task_id: str, worker_id: str) -> None:
-        """Refresh the lease's liveness stamp; OSError if it was lost.
-
-        Ownership is verified first: if the claim was broken as stale and
-        re-claimed by another worker, refreshing it would keep the *new*
-        owner's lease falsely fresh -- instead the presumed-dead worker
-        gets the OSError that tells its heartbeat thread to stop.
-        """
-        if self.claim_owner(task_id) != worker_id:
-            raise OSError(f"lease on {task_id} is no longer held by {worker_id}")
-        os.utime(self._claim_path(task_id))
-
-    def release(self, task_id: str, worker_id: Optional[str] = None) -> None:
-        """Drop the lease; with ``worker_id``, only if still its owner.
-
-        The ownership check keeps a worker whose stale lease was stolen
-        from unlinking the *new* owner's claim (which would expose the
-        task to a third claimer while it is still being executed).
-        """
-        if worker_id is not None and self.claim_owner(task_id) != worker_id:
-            return
-        try:
-            os.unlink(self._claim_path(task_id))
-        except FileNotFoundError:
-            pass
-
-    # -- errors ------------------------------------------------------------
-
-    def _error_path(self, task_id: str) -> str:
-        return os.path.join(self.errors_dir, f"{task_id}.json")
-
-    def record_error(self, task_id: str, run_id: str, exc: Exception) -> None:
-        """Publish a terminal per-run failure for the driver to report."""
-        payload = {"run_id": run_id, "error": repr(exc)}
-        _atomic_write(
-            self._error_path(task_id), json.dumps(payload).encode("utf-8")
-        )
-
-    def pop_error(self, task_id: str) -> Optional[Dict[str, str]]:
-        """Consume a published failure (so a later sweep retries the run)."""
-        path = self._error_path(task_id)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        try:
-            os.unlink(path)
-        except FileNotFoundError:
-            pass
-        return payload
-
-    # -- churn bookkeeping -------------------------------------------------
-
-    def register_worker(self, worker_id: str) -> None:
-        """Touch this worker's liveness marker (called once per scan).
-
-        The markers feed the ``workers seen`` churn counter; re-touching
-        every scan keeps the mtime current, so a driver can count the
-        workers that participated *in this sweep* by mtime window rather
-        than trusting leftovers from earlier sweeps.
-        """
-        safe = re.sub(r"[^\w.-]", "_", worker_id) or "worker"
-        try:
-            with open(os.path.join(self.workers_dir, safe), "w", encoding="utf-8") as fh:
-                fh.write(worker_id)
-        except OSError:  # pragma: no cover - unwritable queue dir
-            pass
-
-    def record_reclaim(self, task_id: str, old_owner: str, new_owner: str) -> None:
-        """Persist one broken-stale-lease event (feeds the churn counters)."""
-        payload = {"task": task_id, "old": old_owner, "new": new_owner}
-        _atomic_write(
-            os.path.join(self.reclaims_dir, f"{uuid.uuid4().hex[:12]}.json"),
-            json.dumps(payload).encode("utf-8"),
-        )
-
-    def churn_stats(self, since: float = 0.0) -> ExecutorStats:
-        """Aggregate the robustness counters from events at/after ``since``.
-
-        ``since`` is an mtime on the shared filesystem's clock (compare
-        :meth:`_fs_now`); the driver passes its sweep-start stamp so
-        events left behind by earlier sweeps in a reused queue directory
-        are not re-counted.  A reclaimed task is counted as re-executed
-        -- the reclaim exists precisely so another worker re-runs it.
-        """
-        stats = ExecutorStats()
-        reclaimed_tasks, lost_workers = set(), set()
-        try:
-            names = os.listdir(self.reclaims_dir)
-        except FileNotFoundError:
-            names = []
-        for name in names:
-            path = os.path.join(self.reclaims_dir, name)
-            try:
-                if os.path.getmtime(path) < since:
-                    continue
-                with open(path, "r", encoding="utf-8") as fh:
-                    event = json.load(fh)
-            except (OSError, ValueError):  # pragma: no cover - racing cleanup
-                continue
-            stats.leases_reclaimed += 1
-            reclaimed_tasks.add(event.get("task"))
-            if event.get("old"):
-                lost_workers.add(event["old"])
-        stats.runs_reexecuted = len(reclaimed_tasks)
-        stats.workers_lost = len(lost_workers)
-        try:
-            names = os.listdir(self.workers_dir)
-        except FileNotFoundError:
-            names = []
-        for name in names:
-            try:
-                if os.path.getmtime(os.path.join(self.workers_dir, name)) >= since:
-                    stats.workers_seen += 1
-            except OSError:  # pragma: no cover - racing cleanup
-                continue
-        return stats
-
-
-def run_worker(
-    queue_dir: str,
-    worker_id: Optional[str] = None,
-    poll_interval: float = 0.5,
-    stale_after: float = DEFAULT_STALE_AFTER,
-    heartbeat_interval: Optional[float] = None,
-    execute: Optional[Callable] = None,
-    max_tasks: Optional[int] = None,
-    exit_when_closed: bool = True,
-    progress: bool = False,
-) -> int:
-    """Attach to a queue directory and execute claimed runs until done.
-
-    The worker loop behind ``python -m repro.experiments worker``: scan
-    the task files, lease one (stealing abandoned leases whose heartbeat
-    is older than ``stale_after``), execute it while a background thread
-    heartbeats the claim, publish the result through the queue's result
-    store (whichever backend the driver recorded -- re-read every scan,
-    so a ``--forever`` worker follows the store across sweeps), and move
-    on.
-    A run that raises is published as a terminal error (no retry loop --
-    deterministic runs fail deterministically); a worker that *crashes*
-    publishes nothing, its lease goes stale and another worker re-claims
-    the run.
-
-    Returns the number of runs this worker executed.  With
-    ``exit_when_closed`` (the default) the worker returns once the driver
-    has written the ``closed`` sentinel and no tasks remain; otherwise it
-    keeps serving sweep after sweep until killed.  ``max_tasks`` bounds
-    the executed runs (mainly for tests).  ``execute`` defaults to
-    :func:`~repro.experiments.orchestrator.execute_run`.
-    """
-    from repro.experiments.orchestrator import execute_run
-
-    execute = execute or execute_run
-    queue = WorkQueue(queue_dir)
-    queue.ensure()
-    cache = queue.open_results()
-    store_name = queue.result_store_name()
-    wid = worker_id or f"{socket.gethostname()}-{os.getpid()}"
-    if heartbeat_interval is None:
-        heartbeat_interval = max(stale_after / 4.0, 0.05)
-    executed = 0
-    while True:
-        if max_tasks is not None and executed >= max_tasks:
-            return executed
-        queue.register_worker(wid)  # liveness marker for the churn counters
-        # follow a driver that switched the queue's store between sweeps
-        current_store = queue.result_store_name()
-        if current_store != store_name:
-            cache.close()
-            store_name = current_store
-            cache = queue.open_results()
-        claimed = None
-        for task_id in queue.task_ids():
-            if not queue.claim(task_id, wid, stale_after):
-                continue
-            if cache.get(task_id) is not None:
-                # a crashed worker published the result but not the
-                # cleanup; finish its bookkeeping and keep scanning
-                queue.finish(task_id)
-                queue.release(task_id, wid)
-                continue
-            claimed = task_id
-            break
-        if claimed is None:
-            if exit_when_closed and queue.is_closed() and not queue.task_ids():
-                return executed
-            time.sleep(poll_interval)
-            continue
-        try:
-            run = queue.load_task(claimed)
-        except (OSError, pickle.UnpicklingError):
-            queue.release(claimed)  # finished (or corrupt) under our feet
-            continue
-        stop = threading.Event()
-
-        def beat() -> None:
-            while not stop.wait(heartbeat_interval):
+        ) as pool:
+            futures = {pool.submit(execute, run): (key, run) for key, run in pending}
+            for future in concurrent.futures.as_completed(futures):
+                key, run = futures[future]
                 try:
-                    queue.heartbeat(claimed, wid)
-                except OSError:
-                    return  # lease was broken: we were presumed dead
-        beater = threading.Thread(target=beat, daemon=True)
-        beater.start()
-        try:
-            result = execute(run)
-        except Exception as exc:
-            # publish the failure only while still holding the lease: a
-            # dispossessed worker (stale lease stolen mid-stall) must not
-            # fail a run its new owner is about to complete, nor delete
-            # the task file out from under it
-            if queue.claim_owner(claimed) == wid:
-                queue.record_error(claimed, getattr(run, "run_id", claimed), exc)
-                queue.finish(claimed)
-            _log(progress, f"[worker {wid}] FAILED {getattr(run, 'run_id', claimed)}: {exc!r}")
-        else:
-            # deterministic results are idempotent, so publishing is safe
-            # even if the lease was meanwhile stolen (both copies are
-            # byte-equivalent and put() renames atomically)
-            cache.put(claimed, result)
-            queue.finish(claimed)
-            executed += 1
-            _log(
-                progress,
-                f"[worker {wid}] {result.run_id} ({result.wall_time:.1f}s)",
-            )
-        finally:
-            # a BaseException (Ctrl-C detaching the worker) reaches this
-            # having published neither result nor error: release the
-            # lease but *leave the task file*, so another worker re-claims
-            # the run instead of the sweep losing it
-            stop.set()
-            beater.join()
-            queue.release(claimed, wid)
-
-
-@register_executor("queue")
-class QueueExecutor(Executor):
-    """Work-stealing queue over a shared directory (multi-process/machine).
-
-    The driver side of the queue protocol: enqueue every pending run as a
-    task file, optionally spawn ``workers`` local worker processes
-    (``python -m repro.experiments worker`` subprocesses; ``workers=0``
-    relies entirely on externally attached workers), then poll the
-    queue's result store (``store`` names the backend; default ``json``,
-    recorded in the queue directory so workers publish into the same
-    backend), recording each run as its result lands.  On
-    :meth:`close` the ``closed`` sentinel is written so idle workers
-    drain and exit, and local workers are reaped.
-
-    Execution results are byte-for-byte the runs' deterministic outcomes,
-    so which worker (or machine) claims which run never shows in the
-    merged artifacts.
-    """
-
-    name = "queue"
-
-    def __init__(
-        self,
-        queue_dir: str = DEFAULT_QUEUE_DIR,
-        poll_interval: float = 0.2,
-        stale_after: float = DEFAULT_STALE_AFTER,
-        store: Optional[str] = None,
-    ) -> None:
-        if poll_interval <= 0:
-            raise ValueError(f"queue poll_interval must be > 0, got {poll_interval!r}")
-        if stale_after <= 0:
-            raise ValueError(f"queue stale_after must be > 0, got {stale_after!r}")
-        if store is not None:
-            # eager validation, like every registry lookup: a typo'd
-            # store must fail before any task is enqueued
-            from repro.experiments.stores import STORES
-
-            STORES.get(store)
-        self.queue_dir = queue_dir
-        self.poll_interval = poll_interval
-        self.stale_after = stale_after
-        self.store = store
-        self.queue = WorkQueue(queue_dir)
-        self._procs: List[subprocess.Popen] = []
-        #: fs-clock stamp of this sweep's start; churn events older than
-        #: this belong to earlier sweeps of a reused queue directory
-        self._epoch: Optional[float] = None
-
-    def describe(self, workers: int) -> str:
-        if workers <= 0:
-            return f"external worker(s) [queue {self.queue_dir}]"
-        return f"{workers} worker(s) [queue {self.queue_dir}]"
-
-    def _spawn_local_workers(self, workers: int, progress: bool) -> None:
-        if self._procs or workers <= 0:
-            return
-        import repro
-
-        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src_dir] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        command = [
-            sys.executable,
-            "-m",
-            "repro.experiments",
-            "worker",
-            "--queue-dir",
-            self.queue_dir,
-            "--poll-interval",
-            str(self.poll_interval),
-            "--stale-after",
-            str(self.stale_after),
-        ]
-        if not progress:
-            # spawned workers inherit stderr; a progress-suppressed sweep
-            # must stay silent end to end
-            command.append("--quiet")
-        for _ in range(workers):
-            self._procs.append(subprocess.Popen(command, env=env))
-
-    def stats(self) -> Optional[ExecutorStats]:
-        if self._epoch is None:
-            return ExecutorStats()
-        return self.queue.churn_stats(since=self._epoch)
-
-    def map_runs(self, pending, execute, record, fail, *, workers, label, progress,
-                 fresh=False):
-        self.queue.reopen()
-        if self._epoch is None:
-            # 1s of slack absorbs coarse (whole-second) mtime granularity
-            # on filesystems that have it
-            self._epoch = self.queue._fs_now() - 1.0
-        # the store choice must land before the first task file: a worker
-        # that claims a task derives the result location from this record
-        self.queue.set_result_store(self.store)
-        cache = self.queue.open_results()
-        # several pending entries may share one cache key (interchangeable
-        # runs); execute once, record for every key
-        by_task: Dict[str, List[tuple]] = {}
-        for key, run in pending:
-            by_task.setdefault(run.cache_key(), []).append((key, run))
-        for task_id, entries in by_task.items():
-            if fresh:
-                # a --force sweep must re-execute, not replay a result a
-                # previous sweep left in this queue's results cache
-                self.queue.discard_result(task_id)
-            elif cache.get(task_id) is not None:
-                continue
-            # a leftover error file from a sweep that died before
-            # consuming it must not fail this sweep's fresh attempt
-            self.queue.pop_error(task_id)
-            self.queue.enqueue(task_id, entries[0][1])
-        self._spawn_local_workers(workers, progress)
-
-        outstanding = set(by_task)
-        last_wait_note = time.monotonic()
-        while outstanding:
-            progressed = False
-            for task_id in sorted(outstanding):
-                result = cache.get(task_id)
-                if result is not None:
-                    # executed live by a worker on this sweep's behalf --
-                    # not a cache hit of this invocation
-                    result.from_cache = False
-                    for index, (key, run) in enumerate(by_task[task_id]):
-                        entry = result if index == 0 else copy.deepcopy(result)
-                        # stamp each entry's own identity: several pending
-                        # runs may share this cache key but differ in
-                        # run_id/params, and an in-process executor would
-                        # have stamped each run itself
-                        entry.run_id = run.run_id
-                        entry.params = dict(run.params)
-                        try:
-                            record(key, entry)
-                        except Exception as exc:
-                            fail(run, exc)
-                    outstanding.discard(task_id)
-                    progressed = True
-                    continue
-                error = self.queue.pop_error(task_id)
-                if error is not None:
-                    exc = WorkerTaskError(
-                        f"queued run {error.get('run_id', task_id)} failed on a "
-                        f"worker: {error.get('error', 'unknown error')}"
-                    )
-                    for key, run in by_task[task_id]:
-                        fail(run, exc)
-                    outstanding.discard(task_id)
-                    progressed = True
-            if not outstanding or progressed:
-                last_wait_note = time.monotonic()
-                continue
-            if time.monotonic() - last_wait_note >= 10.0:
-                # stalled-looking sweep: say what we are waiting for (the
-                # usual cause with workers=0 is that no worker attached)
-                claimed = sum(
-                    1
-                    for task_id in outstanding
-                    if self.queue.claim_owner(task_id) is not None
-                )
-                _log(
-                    progress,
-                    f"[{label}] queue {self.queue_dir}: waiting on "
-                    f"{len(outstanding)} run(s) ({claimed} claimed by "
-                    "workers); attach workers with `python -m "
-                    f"repro.experiments worker --queue-dir {self.queue_dir}`",
-                )
-                last_wait_note = time.monotonic()
-            if self._procs and all(proc.poll() is not None for proc in self._procs):
-                codes = [proc.returncode for proc in self._procs]
-                exc = WorkerTaskError(
-                    f"all {len(self._procs)} local queue worker(s) exited "
-                    f"(exit codes {codes}) with {len(outstanding)} run(s) "
-                    "outstanding; completed runs are cached -- a re-run "
-                    "resumes from them"
-                )
-                for task_id in sorted(outstanding):
-                    for key, run in by_task[task_id]:
-                        fail(run, exc)
-                return
-            time.sleep(self.poll_interval)
-
-    def close(self) -> None:
-        # write the sentinel even when every run was a main-cache hit and
-        # map_runs never ran: externally attached workers are waiting on
-        # it, and a warm re-run must not strand them
-        self.queue.close()
-        deadline = time.monotonic() + max(10 * self.poll_interval, 5.0)
-        for proc in self._procs:
-            try:
-                proc.wait(timeout=max(deadline - time.monotonic(), 0.1))
-            except subprocess.TimeoutExpired:  # pragma: no cover - slow worker
-                proc.terminate()
-                proc.wait()
-        self._procs = []
+                    record(key, future.result())
+                except Exception as exc:
+                    fail(run, exc)

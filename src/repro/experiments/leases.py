@@ -1,11 +1,9 @@
-"""Lease/heartbeat/stale-reclaim semantics shared by work-stealing executors.
+"""Lease/heartbeat/stale-reclaim semantics of the work-stealing executor.
 
-Two executor backends hand out *leases* on pending runs -- the ``queue``
-backend over a shared filesystem (claim files whose mtime is the
-heartbeat, :class:`~repro.experiments.executors.WorkQueue`) and the
-``tcp`` backend over sockets (an in-memory table on the coordinator,
-:class:`~repro.experiments.net.coordinator.Coordinator`).  Both follow
-the same state machine:
+The ``tcp`` backend hands out *leases* on pending runs from an in-memory
+table on the coordinator
+(:class:`~repro.experiments.net.coordinator.Coordinator`).  Leases
+follow one state machine:
 
 * a pending run may be **claimed** by exactly one worker at a time;
 * the holder refreshes the lease's **heartbeat** while executing;
@@ -17,15 +15,12 @@ the same state machine:
 * a dispossessed worker (its stale lease was stolen) must never refresh
   or release the *new* holder's lease.
 
-This module is the single home of that protocol's constants and rules --
-:data:`DEFAULT_STALE_AFTER` and :func:`is_stale` are shared verbatim by
-both backends -- plus the pieces that do not depend on the transport:
-:class:`LeaseTable`, the in-memory implementation the TCP coordinator
-drives from its own clock (the file queue keeps its state *in* the
-filesystem, claim files being what makes it multi-process safe, but
-delegates the staleness decision here), and :class:`ExecutorStats`, the
-robustness counters both backends surface in the run summary (leases
-reclaimed, workers seen/lost, runs re-executed after churn).
+This module is the single home of that protocol's constants and rules
+(:data:`DEFAULT_STALE_AFTER` and :func:`is_stale`), of
+:class:`LeaseTable`, the in-memory implementation the coordinator drives
+from its own clock, and of :class:`ExecutorStats`, the robustness
+counters surfaced in the run summary (leases reclaimed, workers
+seen/lost, runs re-executed after churn).
 """
 
 from __future__ import annotations
@@ -35,8 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 #: seconds without a heartbeat before a lease counts as abandoned and
-#: may be reclaimed by another worker -- the one shared default of the
-#: file-queue and TCP lease protocols
+#: may be reclaimed by another worker
 DEFAULT_STALE_AFTER = 60.0
 
 
@@ -45,9 +39,8 @@ def is_stale(age: float, stale_after: float) -> bool:
     than ``stale_after`` seconds.
 
     ``age`` must be measured on a single clock the judging side owns --
-    the shared filesystem's mtime clock for the file queue, the
-    coordinator's monotonic clock for TCP -- never by comparing
-    timestamps produced by different machines.
+    the coordinator's monotonic clock -- never by comparing timestamps
+    produced by different machines.
     """
     return age > stale_after
 
@@ -61,9 +54,8 @@ class LeaseLost(OSError):
 class ExecutorStats:
     """Churn counters a work-stealing backend surfaces in the run summary.
 
-    A reclaimed lease used to be invisible unless you read the queue
-    directory; these counters make worker churn first-class output of
-    ``run_sweep`` for both the ``queue`` and ``tcp`` backends.
+    These counters make worker churn first-class output of ``run_sweep``
+    for the ``tcp`` backend.
     """
 
     leases_reclaimed: int = 0   #: leases broken after crash/silence/disconnect
@@ -124,8 +116,7 @@ class LeaseTable:
     def claim(self, task_id: str, owner: str, now: float) -> bool:
         """Lease ``task_id`` to ``owner``; False if live-leased elsewhere.
 
-        A stale incumbent is displaced (the in-memory analogue of the
-        file queue's rename-aside reclaim); a live one is never touched.
+        A stale incumbent is displaced; a live one is never touched.
         """
         lease = self._leases.get(task_id)
         if lease is not None and not is_stale(now - lease.last_beat, self.stale_after):

@@ -1,10 +1,10 @@
 """Networked sweep execution: the ``tcp`` coordinator/worker subsystem.
 
-The :mod:`repro.experiments.executors` queue backend scales a sweep
-across every process that can mount one directory; this package scales
-it across every machine the driver can reach over TCP, speaking the same
-lease/heartbeat/stale-reclaim state machine
-(:mod:`repro.experiments.leases`) over sockets instead of claim files:
+The in-process :mod:`repro.experiments.executors` backends scale a sweep
+across one machine's cores; this package scales it across every machine
+the driver can reach over TCP, leasing runs to workers under the
+lease/heartbeat/stale-reclaim state machine of
+:mod:`repro.experiments.leases`:
 
 * :mod:`repro.experiments.net.protocol` -- the wire format:
   length-prefixed, versioned JSON frames

@@ -1,9 +1,8 @@
 """Pluggable result-store backends for the sweep orchestrator.
 
 Result persistence used to be hardwired to one layout: a directory of
-JSON files, one per content-hash cache key (the ``ResultCache`` of
-:mod:`repro.experiments.orchestrator`).  That layout is perfect for a
-handful of runs and hopeless for the million-run sweeps the roadmap
+JSON files, one per content-hash cache key.  That layout is perfect
+for a handful of runs and hopeless for the million-run sweeps the roadmap
 targets -- ``export``, ``merge``, ``perf`` and adaptive replay all pay
 one ``open()`` per run.  This module extracts the choice into a registry
 of named *store* backends (the same pattern as the protocol and executor
@@ -12,18 +11,15 @@ registries): a :class:`ResultStore` maps content-hash keys to
 through the batch-oriented :meth:`ResultStore.scan` (one column scan, not
 N file opens), and every consumer dispatches through :data:`STORES`.
 
-Three backends ship:
+Two backends ship:
 
 * ``json`` -- the original one-file-per-run directory layout and the
   registered **default**: existing cache directories keep working
-  unchanged, and ``ResultCache`` survives as a thin alias.
+  unchanged.
 * ``sqlite`` -- a single-file columnar table (key plus schema-versioned
   params/metrics columns) in WAL journal mode, so any number of
-  concurrent writers -- queue workers on a shared filesystem included --
+  concurrent writers -- shard jobs sharing one cache file included --
   can publish while readers scan.
-* ``parquet`` -- registered only when :mod:`pyarrow` is importable
-  (optional, never a hard dependency): a directory of per-run parquet
-  parts read back as one columnar dataset scan.
 
 Which store holds a cache is a *sweep-cosmetic* choice exactly like the
 executor: it never enters cache keys, so the same spec swept under any
@@ -69,12 +65,6 @@ DEFAULT_STORE = "json"
 #: the column layout of a backend changes shape (a mismatched record is
 #: treated as corrupt and re-executed, never misread)
 RESULT_SCHEMA_VERSION = 1
-
-#: optional backends and the import they need; shown by the ``stores``
-#: CLI listing when the dependency is missing (they are simply not
-#: registered, so a lookup error still lists real alternatives)
-OPTIONAL_STORES = {"parquet": "pyarrow"}
-
 
 class StoreError(ValueError):
     """A store spec (or a store/prefix combination) is invalid."""
@@ -153,15 +143,6 @@ def available_stores() -> List[Tuple[str, str]]:
     return rows
 
 
-def unavailable_stores() -> List[Tuple[str, str]]:
-    """Optional backends whose dependency is missing, with the reason."""
-    rows = []
-    for name, dependency in sorted(OPTIONAL_STORES.items()):
-        if name not in STORES:
-            rows.append((name, f"requires {dependency} (not installed)"))
-    return rows
-
-
 def _result_from_dict(data: Dict[str, Any]) -> Any:
     # lazy import: orchestrator imports this module at top level
     from repro.experiments.orchestrator import RunResult
@@ -203,10 +184,6 @@ class ResultStore:
 
     #: registered name, for progress lines and error messages
     name = "base"
-
-    #: conventional location of a queue's results store, relative to the
-    #: queue directory (directory-backed stores share ``results``)
-    queue_filename = "results"
 
     def __init__(self) -> None:
         self.hits = 0
@@ -300,10 +277,10 @@ class JsonStore(ResultStore):
 
     def put(self, key: str, result: Any) -> None:
         # unique tmp name: concurrent writers of the same key (possible
-        # when a queue worker's stale lease was reclaimed and both
-        # executions publish the same deterministic result) must not
-        # share a tmp path, or the loser's os.replace raises after the
-        # winner's rename already consumed it
+        # when shard jobs sharing one cache directory publish the same
+        # deterministic result) must not share a tmp path, or the
+        # loser's os.replace raises after the winner's rename already
+        # consumed it
         tmp = f"{self._path(key)}.tmp-{uuid.uuid4().hex[:8]}"
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(_result_to_dict(result), fh)
@@ -351,7 +328,7 @@ class SqliteStore(ResultStore):
 
     One ``results`` table keyed by content hash with schema-versioned
     params/metrics columns.  WAL journal mode lets readers scan while
-    any number of writers -- queue workers on a shared filesystem
+    any number of writers -- shard jobs sharing one cache file
     included -- publish concurrently; every operation opens its own
     short-lived connection, so one store object is safe to share across
     threads and processes.  :meth:`scan` is a single ``SELECT`` (chunked
@@ -360,7 +337,6 @@ class SqliteStore(ResultStore):
     """
 
     name = "sqlite"
-    queue_filename = "results.db"
 
     #: keys per IN-list chunk of a constrained scan (SQLite's default
     #: variable limit is 999; stay comfortably below it)
@@ -512,149 +488,3 @@ class SqliteStore(ResultStore):
     @staticmethod
     def exists(path: str) -> bool:
         return os.path.isfile(path)
-
-
-try:  # pragma: no cover - exercised only where pyarrow is installed
-    import pyarrow  # noqa: F401
-    import pyarrow.parquet  # noqa: F401
-
-    _HAVE_PYARROW = True
-except ImportError:
-    _HAVE_PYARROW = False
-
-
-if _HAVE_PYARROW:  # pragma: no cover - optional backend
-
-    @register_store("parquet")
-    class ParquetStore(ResultStore):
-        """Directory of per-run parquet parts read as one columnar dataset.
-
-        Registered only when :mod:`pyarrow` is importable -- never a hard
-        dependency.  Each :meth:`put` writes an independent
-        ``part-<key>.parquet`` (atomic rename, so concurrent writers are
-        safe exactly like the json layout); :meth:`scan` reads the whole
-        directory back as a single Arrow dataset scan.  Best suited to
-        archival exports of finished sweeps.
-        """
-
-        name = "parquet"
-        queue_filename = "results.parquet"
-
-        _FIELDS = ("key", "schema_version") + _SQLITE_COLUMNS
-
-        def __init__(self, directory: str) -> None:
-            super().__init__()
-            self.directory = directory
-            os.makedirs(directory, exist_ok=True)
-
-        def _path(self, key: str) -> str:
-            return os.path.join(self.directory, f"part-{key}.parquet")
-
-        def _row(self, key: str, result: Any) -> Dict[str, Any]:
-            data = _result_to_dict(result)
-            return {
-                "key": key,
-                "schema_version": RESULT_SCHEMA_VERSION,
-                "run_id": data["run_id"],
-                "seed": data["seed"],
-                "duration": data["duration"],
-                "wall_time": data["wall_time"],
-                "cache_key": data["cache_key"],
-                "adaptive_round": data["adaptive_round"],
-                "params": json.dumps(data["params"]),
-                "metrics": json.dumps(data["metrics"]),
-            }
-
-        def _decode_row(self, row: Dict[str, Any]) -> Optional[Any]:
-            if row.get("schema_version") != RESULT_SCHEMA_VERSION:
-                self.corrupt_entries += 1
-                return None
-            try:
-                values = {
-                    name: row[name]
-                    for name in _SQLITE_COLUMNS
-                    if name not in ("params", "metrics")
-                }
-                values["params"] = json.loads(row["params"])
-                values["metrics"] = json.loads(row["metrics"])
-            except (KeyError, TypeError, ValueError):
-                self.corrupt_entries += 1
-                return None
-            return _result_from_dict(values)
-
-        def get(self, key: str) -> Optional[Any]:
-            import pyarrow.parquet as pq
-
-            path = self._path(key)
-            if not os.path.isfile(path):
-                self.misses += 1
-                return None
-            try:
-                table = pq.read_table(path)
-                row = table.to_pylist()[0]
-            except Exception:
-                self.misses += 1
-                self.corrupt_entries += 1
-                return None
-            result = self._decode_row(row)
-            if result is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            return result
-
-        def put(self, key: str, result: Any) -> None:
-            import pyarrow as pa
-            import pyarrow.parquet as pq
-
-            table = pa.Table.from_pylist([self._row(key, result)])
-            tmp = f"{self._path(key)}.tmp-{uuid.uuid4().hex[:8]}"
-            pq.write_table(table, tmp)
-            os.replace(tmp, self._path(key))
-
-        def delete(self, key: str) -> None:
-            try:
-                os.unlink(self._path(key))
-            except FileNotFoundError:
-                pass
-
-        def keys(self) -> List[str]:
-            try:
-                names = os.listdir(self.directory)
-            except FileNotFoundError:
-                return []
-            return sorted(
-                n[len("part-") : -len(".parquet")]
-                for n in names
-                if n.startswith("part-") and n.endswith(".parquet")
-            )
-
-        def scan(self, keys: Optional[Iterable[str]] = None) -> Iterator[Tuple[str, Any]]:
-            import pyarrow.parquet as pq
-
-            wanted = None if keys is None else set(dict.fromkeys(keys))
-            try:
-                dataset = pq.ParquetDataset(self.directory)
-                rows = dataset.read().to_pylist()
-            except Exception:
-                rows = []
-            by_key = {row["key"]: row for row in rows}
-            order = sorted(by_key) if wanted is None else [
-                k for k in dict.fromkeys(keys) if k in by_key
-            ]
-            if wanted is not None:
-                self.misses += len(wanted) - len(order)
-            for key in order:
-                result = self._decode_row(by_key[key])
-                if result is None:
-                    self.misses += 1
-                    continue
-                self.hits += 1
-                yield key, result
-
-        def describe(self) -> str:
-            return f"parquet:{self.directory}"
-
-        @staticmethod
-        def exists(path: str) -> bool:
-            return os.path.isdir(path)

@@ -145,6 +145,36 @@ class TestPacketHandlingRules:
         # duplicate receptions of the same packet count as one delivery
         assert list(record.delivered.keys()) == [0]
 
+    def test_route_beacon_carrying_own_hnid_is_dropped(self):
+        network, stack = build_hvdb_network(dense_grid_positions())
+        agent = stack.agents[0]
+        address = stack.model.address_of_ch(0)
+
+        def beacon(hnid):
+            return Packet(
+                kind=PacketKind.CONTROL,
+                protocol=HVDB_PROTOCOL,
+                msg_type="route-beacon",
+                source=1,
+                destination=0,
+                payload={"hnid": hnid, "hid": address.hid, "sent_at": 0.0,
+                         "routes": []},
+                created_at=0.0,
+            )
+
+        neighbor = stack.model.address_of_ch(1)
+        assert neighbor.hid == address.hid and neighbor.hnid != address.hnid
+        agent._handle_route_beacon(beacon(neighbor.hnid))
+        table = agent.route_table
+        routes = {dest: list(r) for dest, r in table._routes.items()}
+        neighbor_qos = dict(table._neighbor_qos)
+        assert neighbor.hnid in neighbor_qos
+
+        agent._handle_route_beacon(beacon(address.hnid))
+        assert agent.route_table is table
+        assert table._routes == routes
+        assert table._neighbor_qos == neighbor_qos
+
     def test_non_member_does_not_deliver(self):
         network, stack = build_hvdb_network(dense_grid_positions())
         data = Packet(

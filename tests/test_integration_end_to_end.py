@@ -30,6 +30,24 @@ BASE = ScenarioConfig(
 
 
 class TestHvdbEndToEnd:
+    def test_stale_route_beacon_from_own_hnid_does_not_crash(self):
+        # a route beacon sent under an older model can carry the
+        # receiver's own current HNID; this seed used to raise
+        # ValueError('a CH has no logical link to itself')
+        config = ScenarioConfig(
+            protocol=HVDB_PROTOCOL,
+            n_nodes=40,
+            area_size=700.0,
+            radio_range=250.0,
+            max_speed=2.0,
+            traffic_start=5.0,
+            traffic_interval=1.0,
+            group_size=6,
+            seed=1216049525,
+        )
+        result = run_scenario(config, duration=20.0)
+        assert result.report.delivery.packets_originated > 0
+
     def test_hvdb_delivers_majority_of_packets(self):
         result = run_scenario(BASE, duration=80.0)
         delivery = result.report.delivery

@@ -107,8 +107,7 @@ def connect_raw(port, worker="raw-worker"):
 def run_with_tcp(spec, n_workers=2, **sweep_kwargs):
     """Drive ``spec`` through the tcp backend with in-thread net workers.
 
-    The tcp analogue of ``run_with_queue``: the backend binds an
-    ephemeral port, plain ``run_net_worker`` loops in background threads
+    The backend binds an ephemeral port, plain ``run_net_worker`` loops in background threads
     stand in for `python -m repro.experiments worker --connect` processes
     and detach when the coordinator closes.
     """
@@ -565,7 +564,7 @@ class _ChurnyExecutor(Executor):
     name = "churny"
 
     def map_runs(self, pending, execute, record, fail, *, workers, label,
-                 progress, fresh=False):
+                 progress):
         for key, run in pending:
             record(key, execute(run))
 

@@ -11,7 +11,6 @@ import json
 import pytest
 
 from repro.experiments.orchestrator import (
-    ResultCache,
     RunResult,
     expand_spec,
     export_json,
@@ -23,6 +22,7 @@ from repro.experiments.perf import (
     point_label,
     wall_time_groups,
 )
+from repro.experiments.stores import JsonStore
 
 
 def fake_result(params, seed, wall_time):
@@ -149,7 +149,7 @@ class TestLoadResults:
             seeds=(1,),
             duration=10.0,
         )
-        cache = ResultCache(str(tmp_path))
+        cache = JsonStore(str(tmp_path))
         runs = expand_spec(spec)
         for i, run in enumerate(runs):
             # stamp entries under CACHE_VERSION generation 99 only
@@ -259,7 +259,7 @@ class TestTrend:
         results = result_set(
             {(("n", 10),): [1.0, 3.0, 2.0], (("n", 20),): [4.0]}
         )
-        entry = trend_entry("tiny", results, store="sqlite", executor="queue")
+        entry = trend_entry("tiny", results, store="sqlite", executor="tcp")
         assert entry.sweep == "tiny"
         assert entry.medians == {"n=10": 2.0, "n=20": 4.0}
         assert entry.n_runs == 4

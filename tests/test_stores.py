@@ -7,10 +7,9 @@ directory behind, each backend round-trips ``RunResult`` records (get /
 put / delete / keys / batch scan), the store choice is sweep-cosmetic
 (byte-identical CSV/JSON artifacts across backends, warm replay with
 zero executions from a cache written under another backend), sqlite
-survives concurrent same-key publishers, corrupt entries are counted
-and re-executed instead of crashing, ``merge_caches`` migrates between
-backends, and the queue executor publishes through the configured
-store.
+and json survive concurrent same-key publishers, corrupt entries are
+counted and re-executed instead of crashing, and ``merge_caches``
+migrates between backends.
 """
 
 import json
@@ -20,9 +19,7 @@ import threading
 
 import pytest
 
-from repro.experiments.executors import WorkQueue, make_executor
 from repro.experiments.orchestrator import (
-    ResultCache,
     RunResult,
     SpecError,
     SweepSpec,
@@ -98,8 +95,8 @@ class TestStoreSpecs:
         assert parse_store_spec("a/b:c")[0] is None
 
     def test_registry_lists_builtin_backends(self):
-        names = [name for name, _ in available_stores()]
-        assert "json" in names and "sqlite" in names
+        assert STORES.names() == ["json", "sqlite"]
+        assert [name for name, _ in available_stores()] == ["json", "sqlite"]
         assert DEFAULT_STORE == "json"
 
     def test_unknown_store_fails_with_alternatives_and_no_dir(self, tmp_path):
@@ -162,12 +159,6 @@ class TestRoundTrip:
         assert store.get("k" * 64).seed == 2
         assert len(store.keys()) == 1
         store.close()
-
-    def test_result_cache_alias_is_json_store(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        assert isinstance(cache, JsonStore)
-        cache.put("a" * 64, fake_result())
-        assert cache.get("a" * 64) is not None
 
     def test_json_bytes_unchanged_by_sqlite_round_trip(self, tmp_path):
         """The sqlite backend must preserve the exact json serialization."""
@@ -235,6 +226,24 @@ class TestSqliteConcurrency:
         assert final is not None and final.seed in range(4)
         assert len(store.keys()) == 1
         store.close()
+
+
+class TestJsonConcurrency:
+    def test_concurrent_same_key_cache_puts_are_safe(self, tmp_path):
+        # shard jobs sharing one cache directory may publish the same
+        # deterministic result; the unique tmp names mean neither rename
+        # can crash the other, and the entry stays valid JSON
+        cache = JsonStore(str(tmp_path / "results"))
+        result = RunResult(
+            run_id="r", params={}, seed=1, duration=1.0, metrics={"pdr": 1.0}
+        )
+        cache.put("k", result)
+        cache.put("k", result)
+        assert cache.get("k").metrics == {"pdr": 1.0}
+        leftovers = [
+            name for name in os.listdir(str(tmp_path / "results")) if ".tmp" in name
+        ]
+        assert leftovers == []
 
 
 class TestSweepIntegration:
@@ -319,37 +328,3 @@ class TestMigration:
     def test_merge_missing_source_fails(self, tmp_path):
         with pytest.raises(SpecError, match="does not exist"):
             merge_caches([str(tmp_path / "nope")], str(tmp_path / "dest"))
-
-
-class TestQueueStore:
-    def test_queue_records_and_uses_store(self, tmp_path):
-        queue_dir = str(tmp_path / "queue")
-        spec = tiny_spec()
-        results = run_sweep(
-            spec,
-            workers=2,
-            cache_dir=str(tmp_path / "cache"),
-            executor="queue",
-            executor_options={"queue_dir": queue_dir, "store": "sqlite"},
-        )
-        assert len(results) == len(expand_spec(spec))
-        queue = WorkQueue(queue_dir)
-        assert queue.result_store_name() == "sqlite"
-        assert os.path.isfile(os.path.join(queue_dir, "results.db"))
-        published = queue.open_results()
-        assert len(published.keys()) == len(results)
-        published.close()
-
-    def test_queue_defaults_to_json_results_dir(self, tmp_path):
-        queue = WorkQueue(str(tmp_path / "queue"))
-        assert queue.result_store_name() == DEFAULT_STORE
-        store = queue.open_results()
-        assert isinstance(store, JsonStore)
-
-    def test_queue_unknown_store_fails_eagerly(self, tmp_path):
-        with pytest.raises(RegistryError, match="sqlite"):
-            make_executor(
-                "queue",
-                queue_dir=str(tmp_path / "queue"),
-                store="mongodb",
-            )
