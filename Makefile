@@ -56,9 +56,10 @@ store-smoke:
 
 ## seconds-long end-to-end check of the physical layer: the phy_smoke
 ## sweep (one run per registered radio x MAC combination, sinr and
-## csma_ca included), a warm re-run that must execute nothing, and the
+## csma_ca included), a warm re-run that must execute nothing, the
 ## physics-fingerprint regression suite (golden metric rows, cache-key
-## digests, artifact hashes)
+## digests, artifact hashes) and the protocol-fingerprint suite (one
+## golden scenario per registered protocol, HVDB at 100 nodes)
 PHY_SMOKE_DIR := .ci/phy-smoke
 phy-smoke:
 	rm -rf $(PHY_SMOKE_DIR)
@@ -68,8 +69,8 @@ phy-smoke:
 	  --cache-dir $(PHY_SMOKE_DIR)/cache --format none 2>&1 \
 	  | grep -q "+ 0 executed" \
 	  || { echo "phy gate: warm re-run executed runs (expected 0)"; exit 1; }
-	$(PYTHON) -m pytest -q tests/test_phy_fingerprint.py
-	@echo "make phy-smoke: OK (3x3 radio/MAC grid, warm zero-exec replay, fingerprints match golden)"
+	$(PYTHON) -m pytest -q tests/test_phy_fingerprint.py tests/test_protocol_fingerprint.py
+	@echo "make phy-smoke: OK (3x3 radio/MAC grid, warm zero-exec replay, phy and protocol fingerprints match golden)"
 
 ## full benchmark suite regenerating the paper's evaluation and
 ## asserting its qualitative claims (minutes); the files are named

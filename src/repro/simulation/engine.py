@@ -1,32 +1,34 @@
 """Discrete-event simulation engine.
 
-A minimal but complete event-driven kernel: events are (time, priority,
-sequence, callback) tuples kept in a binary heap; the simulator pops them
-in time order and advances a virtual clock.  Periodic timers are provided
-as a convenience for protocol beaconing and mobility epochs.
+A minimal but complete event-driven kernel: the binary heap holds
+``(time, priority, sequence, event)`` tuples -- the shape SimPy's kernel
+uses -- so pushes and pops compare plain tuples, and the unique sequence
+number settles every tie before the :class:`Event` handle is reached.
+The simulator pops them in time order and advances a virtual clock.
+Periodic timers are provided as a convenience for protocol beaconing and
+mobility epochs.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 
-@dataclass(order=True)
+@dataclass(slots=True, eq=False)
 class Event:
-    """One scheduled event.
+    """Handle to one scheduled callback.
 
-    Ordering is by ``(time, priority, sequence)`` so simultaneous events
-    run in a deterministic order (lower priority value first, then FIFO).
+    Ordering lives in the heap entry ``(time, priority, sequence, event)``:
+    simultaneous events run in a deterministic order (lower priority
+    value first, then FIFO).  The handle only carries the callback and
+    the flag :meth:`cancel` sets.
     """
 
-    time: float
-    priority: int
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    callback: Callable[[], None]
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Prevent the event from firing (it stays in the heap but is skipped)."""
@@ -37,7 +39,7 @@ class Simulator:
     """Event-driven simulation kernel with a floating-point clock (seconds)."""
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._sequence = itertools.count()
         self._now = 0.0
         self._running = False
@@ -66,8 +68,9 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError("cannot schedule events in the past")
-        event = Event(self._now + delay, priority, next(self._sequence), callback)
-        heapq.heappush(self._heap, event)
+        event = Event(callback)
+        entry = (self._now + delay, priority, next(self._sequence), event)
+        heapq.heappush(self._heap, entry)
         return event
 
     def schedule_at(
@@ -76,8 +79,8 @@ class Simulator:
         """Schedule ``callback`` at an absolute simulation time."""
         if time < self._now:
             raise ValueError(f"cannot schedule at {time} < now ({self._now})")
-        event = Event(time, priority, next(self._sequence), callback)
-        heapq.heappush(self._heap, event)
+        event = Event(callback)
+        heapq.heappush(self._heap, (time, priority, next(self._sequence), event))
         return event
 
     def run_until(self, end_time: float) -> None:
@@ -88,14 +91,16 @@ class Simulator:
         """
         if end_time < self._now:
             raise ValueError(f"end_time {end_time} is in the past (now={self._now})")
+        heap = self._heap
+        pop = heapq.heappop
         self._running = True
-        while self._heap and self._running:
-            if self._heap[0].time > end_time:
+        while heap and self._running:
+            if heap[0][0] > end_time:
                 break
-            event = heapq.heappop(self._heap)
+            time, _, _, event = pop(heap)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = time
             event.callback()
             self._processed += 1
         self._now = max(self._now, end_time)
@@ -118,10 +123,10 @@ class Simulator:
         while self._heap:
             if max_events is not None and executed >= max_events:
                 break
-            event = heapq.heappop(self._heap)
+            time, _, _, event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
-            self._now = max(self._now, event.time)
+            self._now = max(self._now, time)
             event.callback()
             executed += 1
             self._processed += 1

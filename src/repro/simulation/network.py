@@ -154,9 +154,13 @@ class Network:
         return self.mobility.velocity(node_id)
 
     def neighbors_of(self, node_id: int) -> List[int]:
-        """Alive nodes currently within radio range of ``node_id``."""
-        cache = self._neighbor_table()
-        return list(cache.get(node_id, []))
+        """Alive nodes currently within radio range of ``node_id``.
+
+        Returns the neighbour table's own list, not a copy: it is valid
+        until the next mobility tick or failure and callers must not
+        mutate it (copy it first to keep or edit it).
+        """
+        return self._neighbor_table().get(node_id, [])
 
     def are_neighbors(self, a: int, b: int) -> bool:
         return b in self._neighbor_table().get(a, [])
@@ -271,7 +275,8 @@ class Network:
         if packet.hops >= self.config.max_packet_hops:
             self.stats.drops_ttl += 1
             return
-        sender_pos = self.mobility.position(sender)
+        position = self.mobility.position
+        sender_pos = position(sender)
         neighbor_ids = self.neighbors_of(sender)
         contenders = len(neighbor_ids)
         now = self.simulator.now
@@ -286,10 +291,11 @@ class Network:
         self.stats.airtime_seconds += plan.airtime
         radio.note_transmission(sender, sender_pos, now, now + plan.airtime)
         delay = plan.delay
+        airtime = plan.airtime
         mac_loss = plan.loss_probability
 
         if destination is not None:
-            targets = [destination] if destination in neighbor_ids else []
+            targets = (destination,) if destination in neighbor_ids else ()
             if not targets:
                 self.stats.drops_out_of_range += 1
         else:
@@ -298,24 +304,28 @@ class Network:
         # Unicast frames benefit from link-layer ARQ (802.11-style retries);
         # broadcast frames are fire-and-forget.
         attempts = 1 + (self.config.unicast_retries if destination is not None else 0)
+        nodes = self.nodes
+        draw = self.rng.random
+        reception_probability = radio.reception_probability_during
+        schedule = self.simulator.schedule
         for target in targets:
-            receiver = self.nodes.get(target)
+            receiver = nodes.get(target)
             if receiver is None or not receiver.alive:
                 continue
-            target_pos = self.mobility.position(target)
+            target_pos = position(target)
             total_delay = delay
             received = False
             for attempt in range(attempts):
                 attempt_start = now + attempt * delay
-                p_rx = radio.reception_probability_during(
+                p_rx = reception_probability(
                     sender,
                     sender_pos,
                     target,
                     target_pos,
                     attempt_start,
-                    attempt_start + plan.airtime,
+                    attempt_start + airtime,
                 )
-                if self.rng.random() < p_rx and self.rng.random() >= mac_loss:
+                if draw() < p_rx and draw() >= mac_loss:
                     received = True
                     break
                 # a failed attempt costs another frame time (and is counted
@@ -323,17 +333,17 @@ class Network:
                 if attempt + 1 < attempts:
                     total_delay += delay
                     self._count_transmission(packet)
-                    self.stats.airtime_seconds += plan.airtime
+                    self.stats.airtime_seconds += airtime
                     retry_start = now + (attempt + 1) * delay
                     radio.note_transmission(
-                        sender, sender_pos, retry_start, retry_start + plan.airtime
+                        sender, sender_pos, retry_start, retry_start + airtime
                     )
             if not received:
                 self.stats.drops_loss += 1
                 continue
             copy = packet.copy_for_forwarding()
             copy.hops += 1
-            self.simulator.schedule(
+            schedule(
                 total_delay, lambda r=receiver, c=copy, s=sender: self._deliver(r, c, s)
             )
 

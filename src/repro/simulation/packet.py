@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 _packet_ids = itertools.count(1)
@@ -54,9 +54,25 @@ class Packet:
         The uid, creation time and hop counters are preserved; the headers
         dictionary is shallow-copied so a forwarder can rewrite its own
         entries (e.g. re-encapsulate a multicast sub-tree) without
-        affecting sibling copies.
+        affecting sibling copies.  This runs once per received frame, so
+        it calls the constructor directly rather than going through
+        ``dataclasses.replace``; every field must be passed here.
         """
-        return replace(self, headers=dict(self.headers))
+        return Packet(
+            self.kind,
+            self.protocol,
+            self.msg_type,
+            self.source,
+            self.group,
+            self.destination,
+            self.payload,
+            dict(self.headers),
+            self.size_bytes,
+            self.created_at,
+            self.uid,
+            self.hops,
+            self.logical_hops,
+        )
 
     def age(self, now: float) -> float:
         """Seconds since the packet was created."""

@@ -151,6 +151,12 @@ class InterferenceMap:
     is guaranteed to cover every interferer in range; expired records
     (ended before the current time) are pruned as new ones arrive, which
     keeps the ledger at the handful of frames genuinely in flight.
+
+    The index is built lazily by the first query and then kept up to
+    date incrementally: a new record is inserted into it, and only a
+    prune drops it (the next query rebuilds it from the surviving
+    ledger).  Buckets therefore always hold records in ledger order, so
+    candidate order is the same as a rebuild on every query would give.
     """
 
     def __init__(self, cell_size: float) -> None:
@@ -169,8 +175,12 @@ class InterferenceMap:
             raise ValueError("transmission interval must have positive length")
         if self._records and self._records[0].end < now:
             self._records = [r for r in self._records if r.end >= now]
+            self._index = None
         self._records.append(record)
-        self._index = None
+        if self._index is not None:
+            # appending keeps every bucket in ledger order, exactly as
+            # the rebuild in concurrent() would lay it out
+            self._index.insert(record, record.position)
 
     def concurrent(
         self,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from repro.geo.geometry import Point, distance
 
@@ -10,24 +10,29 @@ from repro.geo.geometry import Point, distance
 def greedy_next_hop(
     current: Point,
     destination: Point,
-    neighbors: Dict[int, Point],
-    exclude: Optional[Set[int]] = None,
+    neighbors: Iterable[int],
+    position: Callable[[int], Point],
+    exclude: Optional[Collection[int]] = None,
 ) -> Optional[int]:
     """Neighbour that makes the most progress towards ``destination``.
+
+    ``neighbors`` are node ids, examined in iteration order; ``position``
+    looks each one up on demand, so a forwarder can pass its neighbour
+    table without building a ``{id: Point}`` dict per hop.
 
     Returns ``None`` when no neighbour is strictly closer to the
     destination than the current node (the local-maximum / void situation
     greedy forwarding is known for), in which case the caller should switch
     to recovery mode.
     """
-    exclude = exclude or set()
+    exclude = exclude or ()
     own_distance = distance(current, destination)
     best_id: Optional[int] = None
     best_distance = own_distance
-    for node_id, position in neighbors.items():
+    for node_id in neighbors:
         if node_id in exclude:
             continue
-        d = distance(position, destination)
+        d = distance(position(node_id), destination)
         if d < best_distance - 1e-12:
             best_distance = d
             best_id = node_id
@@ -37,8 +42,9 @@ def greedy_next_hop(
 def recovery_next_hop(
     current: Point,
     destination: Point,
-    neighbors: Dict[int, Point],
-    visited: Set[int],
+    neighbors: Iterable[int],
+    position: Callable[[int], Point],
+    visited: Collection[int],
 ) -> Optional[int]:
     """Recovery forwarding when greedy progress is impossible.
 
@@ -46,14 +52,15 @@ def recovery_next_hop(
     the unvisited neighbour closest to the destination even if it does not
     make strict progress.  Combined with the per-packet visited set this
     walks the packet around voids and provably terminates (every hop
-    consumes one unvisited node).
+    consumes one unvisited node).  ``neighbors`` and ``position`` are read
+    as by :func:`greedy_next_hop`.
     """
     best_id: Optional[int] = None
     best_distance = float("inf")
-    for node_id, position in neighbors.items():
+    for node_id in neighbors:
         if node_id in visited:
             continue
-        d = distance(position, destination)
+        d = distance(position(node_id), destination)
         if d < best_distance:
             best_distance = d
             best_id = node_id

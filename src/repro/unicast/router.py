@@ -13,11 +13,9 @@ multi-hop physical links", paper Section 3).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from repro.geo.geometry import Point
 from repro.simulation.agent import ProtocolAgent
 from repro.simulation.packet import Packet
+from repro.unicast.greedy import greedy_next_hop, recovery_next_hop
 
 #: Protocol identifier of the geographic unicast agent.
 GEO_PROTOCOL = "geo-unicast"
@@ -93,26 +91,28 @@ class GeoUnicastAgent(ProtocolAgent):
         self._forward(packet)
 
     def _forward(self, envelope: Packet) -> None:
+        network = self.network
         dest = envelope.headers["dest_node"]
-        if dest not in self.network.nodes or not self.network.node(dest).alive:
+        dest_node = network.nodes.get(dest)
+        if dest_node is None or not dest_node.alive:
             self.dropped_no_route += 1
             return
-        dest_pos = self.network.position_of(dest)
-        my_pos = self.network.position_of(self.node_id)
-        neighbor_ids = self.network.neighbors_of(self.node_id)
+        neighbor_ids = network.neighbors_of(self.node_id)
         if dest in neighbor_ids:
             self.node.unicast(dest, envelope)
             return
-        neighbors: Dict[int, Point] = {
-            nb: self.network.position_of(nb) for nb in neighbor_ids
-        }
+        position = network.mobility.position
+        dest_pos = position(dest)
+        my_pos = position(self.node_id)
         visited = set(envelope.headers.get("visited", []))
-        from repro.unicast.greedy import greedy_next_hop, recovery_next_hop
-
-        next_hop = greedy_next_hop(my_pos, dest_pos, neighbors, exclude=visited)
+        next_hop = greedy_next_hop(
+            my_pos, dest_pos, neighbor_ids, position, exclude=visited
+        )
         if next_hop is None:
             envelope.headers["mode"] = "recovery"
-            next_hop = recovery_next_hop(my_pos, dest_pos, neighbors, visited)
+            next_hop = recovery_next_hop(
+                my_pos, dest_pos, neighbor_ids, position, visited
+            )
         else:
             envelope.headers["mode"] = "greedy"
         if next_hop is None:

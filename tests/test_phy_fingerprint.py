@@ -17,11 +17,14 @@ became interference-aware, then extended with the new ``sinr`` /
   config blob must hash to the recorded values, proving artifacts stay
   byte-identical, not merely numerically equal.
 
-Regenerate deliberately (after an intended physics change) with::
+The golden also records the ``CACHE_VERSION`` it was captured under.
+Regenerate deliberately (after an intended physics change, and after
+bumping ``CACHE_VERSION``) with::
 
     PYTHONPATH=src python tests/test_phy_fingerprint.py
 
-and review the golden diff like source code.
+and review the golden diff like source code.  Regeneration refuses to
+write changed metric rows under an unbumped ``CACHE_VERSION``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from pathlib import Path
 
 import pytest
 
+from goldens import write_golden
+from repro.experiments import orchestrator
 from repro.experiments.orchestrator import (
     SweepSpec,
     canonical_config,
@@ -141,6 +146,10 @@ def test_golden_covers_every_registered_combo():
     assert set(GOLDEN["combos"]) == expected
 
 
+def test_golden_records_current_cache_version():
+    assert GOLDEN["cache_version"] == orchestrator.CACHE_VERSION
+
+
 @pytest.mark.parametrize("combo", sorted(GOLDEN["combos"]))
 def test_combo_metrics_match_golden(combo):
     radio, mac = combo.split("+")
@@ -200,9 +209,7 @@ def regenerate() -> None:
         doc["cache_keys"][name] = spec_key_digest(name)
     doc["artifact_csv_sha256"] = artifact_csv_sha256()
     doc["base_canonical_sha256"] = base_canonical_sha256()
-    with open(GOLDEN_PATH, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_golden(GOLDEN_PATH, doc, "combos")
     print(f"regenerated {GOLDEN_PATH} ({len(doc['combos'])} combos)")
 
 

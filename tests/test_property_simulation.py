@@ -115,6 +115,11 @@ class TestEngineProperties:
         assert len(fired) == expected
 
 
+#: interference-map inputs: 50 m steps across a few 150 m cells, 0.5 s steps
+_LATTICE_COORD = st.integers(min_value=-2, max_value=6).map(lambda v: v * 50.0)
+_LATTICE_TIME = st.integers(min_value=0, max_value=10).map(lambda v: v * 0.5)
+
+
 class TestPhyProperties:
     """Physical-layer invariants (see docs/physical-layer.md)."""
 
@@ -228,3 +233,79 @@ class TestPhyProperties:
             + mac.airtime(512)
         )
         assert config.base_latency + config.difs <= plan.delay <= max_delay + 1e-12
+
+    @given(
+        st.lists(
+            st.tuples(
+                # note(sender, x, y, start, duration, now) on a coarse lattice
+                # of places and times, so records share cells, overlap in
+                # time and get pruned often ...
+                st.tuples(
+                    st.integers(min_value=0, max_value=3),
+                    _LATTICE_COORD,
+                    _LATTICE_COORD,
+                    _LATTICE_TIME,
+                    st.sampled_from([0.25, 1.0, 2.5]),
+                    _LATTICE_TIME,
+                ),
+                # ... then, optionally, concurrent(x, y, start, length,
+                # radius, exclude_sender)
+                st.one_of(
+                    st.none(),
+                    st.tuples(
+                        _LATTICE_COORD,
+                        _LATTICE_COORD,
+                        _LATTICE_TIME,
+                        st.sampled_from([0.1, 1.0, 3.0]),
+                        st.sampled_from([60.0, 150.0]),
+                        st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+                    ),
+                ),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_interference_map_matches_brute_force_over_ledger(self, steps):
+        """The incrementally kept index answers like a scan of the ledger.
+
+        The expected answer filters the live ledger by brute force and
+        lists the survivors in the spatial hash's documented order: the
+        3x3 cells around the receiver in a fixed walk, ledger order
+        within a cell.
+        """
+        from repro.geo.geometry import distance
+        from repro.geo.grid import SpatialHash
+        from repro.simulation.phy import InterferenceMap, TransmissionRecord
+
+        cell = 150.0
+        imap = InterferenceMap(cell)
+        cell_of = SpatialHash(cell).cell_of
+        ledger = []  # the records noted and not yet pruned, in note order
+        for note, query in steps:
+            sender, x, y, start, duration, now = note
+            record = TransmissionRecord(sender, Point(x, y), start, start + duration)
+            imap.note(record, now=now)
+            if ledger and ledger[0].end < now:
+                ledger = [r for r in ledger if r.end >= now]
+            ledger.append(record)
+            assert len(imap) == len(ledger)
+            if query is None:
+                continue
+            x, y, start, length, radius, exclude = query
+            receiver = Point(x, y)
+            end = start + length
+            got = imap.concurrent(receiver, start, end, radius, exclude_sender=exclude)
+            cx, cy = cell_of(receiver)
+            expected = [
+                r
+                for dx in (-1, 0, 1)
+                for dy in (-1, 0, 1)
+                for r in ledger
+                if cell_of(r.position) == (cx + dx, cy + dy)
+                and r.sender != exclude
+                and r.start < end
+                and r.end > start
+                and distance(r.position, receiver) <= radius + 1e-9
+            ]
+            assert [id(r) for r in got] == [id(r) for r in expected]

@@ -24,11 +24,12 @@ class TestSimulator:
     def test_simultaneous_events_fifo_within_priority(self):
         sim = Simulator()
         order = []
-        sim.schedule(1.0, lambda: order.append(1))
-        sim.schedule(1.0, lambda: order.append(2))
-        sim.schedule(1.0, lambda: order.append(0), priority=-1)
-        sim.run_until(2.0)
-        assert order == [0, 1, 2]
+        for label, priority in [("a1", 1), ("z0", 0), ("m-1", -1), ("b1", 1), ("y0", 0)]:
+            sim.schedule(2.0, lambda label=label: order.append(label), priority=priority)
+        sim.schedule_at(2.0, lambda: order.append("x0"))
+        sim.schedule(1.0, lambda: order.append("early"), priority=5)
+        sim.run_until(3.0)
+        assert order == ["early", "m-1", "z0", "y0", "x0", "a1", "b1"]
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
@@ -106,6 +107,47 @@ class TestSimulator:
         executed = sim.drain()
         assert executed == 3
         assert fired == [1.0, 3.0, 5.0]
+
+    def test_cancelled_event_skipped_and_not_counted(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1))
+        sim.schedule(2.0, lambda: fired.append(2)).cancel()
+        sim.schedule(3.0, lambda: fired.append(3))
+        sim.run_until(5.0)
+        assert fired == [1, 3]
+        assert sim.processed_events == 2
+        assert sim.pending_events == 0
+
+    def test_run_until_boundary_is_inclusive(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(2.0, lambda: fired.append("at"))
+        sim.schedule(2.0 + 1e-9, lambda: fired.append("after"))
+        # an event scheduled at the boundary by a boundary event also runs
+        sim.schedule(2.0, lambda: sim.schedule(0.0, lambda: fired.append("chained")))
+        sim.run_until(2.0)
+        assert fired == ["at", "chained"]
+        assert sim.now == 2.0
+        assert sim.processed_events == 3
+        sim.run_until(3.0)
+        assert fired == ["at", "chained", "after"]
+
+    def test_drain_max_events(self):
+        sim = Simulator()
+        fired = []
+        for t in (4.0, 1.0, 3.0, 2.0, 5.0):
+            sim.schedule(t, lambda t=t: fired.append(t))
+        sim.schedule(1.5, lambda: fired.append("cancelled")).cancel()
+        assert sim.drain(max_events=2) == 2
+        assert fired == [1.0, 2.0]
+        assert sim.now == 2.0
+        assert sim.processed_events == 2
+        assert sim.drain(max_events=0) == 0
+        assert sim.drain() == 3
+        assert fired == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert sim.processed_events == 5
+        assert sim.pending_events == 0
 
     def test_run_convenience(self):
         sim = Simulator()

@@ -1,5 +1,7 @@
 """Unit tests for packets, radio models and the MAC abstraction."""
 
+import dataclasses
+
 import pytest
 
 from repro.geo.geometry import Point
@@ -20,6 +22,21 @@ class TestPacket:
         assert copy.uid == packet.uid
         copy.headers["stage"] = "b"
         assert packet.headers["stage"] == "a"
+
+    def test_copy_carries_every_field(self):
+        """A field added to Packet but left out of the copy fails here."""
+        packet = data_packet("p", 1, 1, "x", 100, 0.0)
+        sentinels = {}
+        for f in dataclasses.fields(Packet):
+            if f.name != "headers":
+                sentinels[f.name] = object()
+                setattr(packet, f.name, sentinels[f.name])
+        packet.headers = {"stage": object()}
+        copy = packet.copy_for_forwarding()
+        for name, value in sentinels.items():
+            assert getattr(copy, name) is value, name
+        assert copy.headers == packet.headers
+        assert copy.headers is not packet.headers
 
     def test_age(self):
         packet = data_packet("p", 1, 1, None, 100, now=5.0)

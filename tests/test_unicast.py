@@ -12,36 +12,47 @@ from tests.conftest import make_static_network
 
 
 class TestGreedySelection:
+    SRC, DST = Point(0.0, 0.0), Point(100.0, 0.0)
+
     def test_picks_neighbor_with_most_progress(self):
         neighbors = {1: Point(50.0, 0.0), 2: Point(80.0, 0.0), 3: Point(20.0, 50.0)}
-        nxt = greedy_next_hop(Point(0.0, 0.0), Point(100.0, 0.0), neighbors)
+        nxt = greedy_next_hop(self.SRC, self.DST, neighbors, neighbors.__getitem__)
         assert nxt == 2
 
     def test_returns_none_without_progress(self):
         neighbors = {1: Point(-50.0, 0.0), 2: Point(0.0, -60.0)}
-        assert greedy_next_hop(Point(0.0, 0.0), Point(100.0, 0.0), neighbors) is None
+        assert greedy_next_hop(self.SRC, self.DST, neighbors, neighbors.__getitem__) is None
 
     def test_excluded_neighbors_skipped(self):
         neighbors = {1: Point(80.0, 0.0), 2: Point(60.0, 0.0)}
-        nxt = greedy_next_hop(Point(0.0, 0.0), Point(100.0, 0.0), neighbors, exclude={1})
+        nxt = greedy_next_hop(
+            self.SRC, self.DST, neighbors, neighbors.__getitem__, exclude={1}
+        )
         assert nxt == 2
 
     def test_empty_neighbors(self):
-        assert greedy_next_hop(Point(0.0, 0.0), Point(1.0, 1.0), {}) is None
+        assert greedy_next_hop(Point(0.0, 0.0), Point(1.0, 1.0), [], {}.__getitem__) is None
 
     def test_recovery_ignores_progress_requirement(self):
         neighbors = {1: Point(-50.0, 0.0), 2: Point(-20.0, 0.0)}
-        nxt = recovery_next_hop(Point(0.0, 0.0), Point(100.0, 0.0), neighbors, visited=set())
+        nxt = recovery_next_hop(
+            self.SRC, self.DST, neighbors, neighbors.__getitem__, visited=set()
+        )
         assert nxt == 2
 
     def test_recovery_skips_visited(self):
         neighbors = {1: Point(-20.0, 0.0), 2: Point(-50.0, 0.0)}
-        nxt = recovery_next_hop(Point(0.0, 0.0), Point(100.0, 0.0), neighbors, visited={1})
+        nxt = recovery_next_hop(
+            self.SRC, self.DST, neighbors, neighbors.__getitem__, visited={1}
+        )
         assert nxt == 2
 
     def test_recovery_all_visited(self):
         neighbors = {1: Point(-20.0, 0.0)}
-        assert recovery_next_hop(Point(0.0, 0.0), Point(100.0, 0.0), neighbors, visited={1}) is None
+        nxt = recovery_next_hop(
+            self.SRC, self.DST, neighbors, neighbors.__getitem__, visited={1}
+        )
+        assert nxt is None
 
     def test_path_stretch(self):
         straight = [Point(0.0, 0.0), Point(50.0, 0.0), Point(100.0, 0.0)]
