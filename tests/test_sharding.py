@@ -23,6 +23,7 @@ from repro.experiments.orchestrator import (
     shard_runs,
 )
 from repro.experiments.scenarios import ScenarioConfig
+from repro.experiments.stores import make_store
 
 
 def tiny_spec(**overrides) -> SweepSpec:
@@ -194,6 +195,29 @@ class TestHookAndLabelAxes:
         assert run.params == {"n_nodes": 10, "area_size": 400.0}
 
 
+class TestFixedSweepRunIds:
+    """A fixed sweep runs exactly ``expand_spec``'s runs, cold and warm."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param(dict(seeds=(1, 1, 2)), id="duplicate-seeds"),
+            pytest.param(dict(grid={"seed": [3, 4]}, seeds=(1, 2)), id="seed-axis"),
+            pytest.param(dict(), id="plain"),
+        ],
+    )
+    def test_run_ids_match_expansion_through_a_cache(self, tmp_path, overrides):
+        spec = tiny_spec(**overrides)
+        expected = [run.run_id for run in expand_spec(spec)]
+        cache_dir = str(tmp_path / "cache")
+        cold = run_sweep(spec, workers=1, cache_dir=cache_dir)
+        warm = run_sweep(spec, workers=1, cache_dir=cache_dir)
+        assert [r.run_id for r in cold] == expected
+        assert [r.run_id for r in warm] == expected
+        assert [r.seed for r in warm] == [r.seed for r in cold]
+        assert all(r.from_cache for r in warm)
+
+
 class TestShardedExecution:
     def test_shards_cover_grid_once_and_merge_matches_unsharded(self, tmp_path):
         spec = tiny_spec()
@@ -206,6 +230,15 @@ class TestShardedExecution:
             shard_dirs.append(shard_dir)
             results = run_sweep(spec, workers=1, cache_dir=shard_dir, shard=(index, 3))
             assert all(not r.from_cache for r in results)
+            # each shard job runs, and caches, exactly its round-robin slice
+            # of the expansion -- no more, no fewer, in expansion order
+            expected = shard_runs(expand_spec(spec), index, 3)
+            assert [r.run_id for r in results] == [r.run_id for r in expected]
+            store = make_store(shard_dir)
+            try:
+                assert sorted(store.keys()) == sorted(r.cache_key() for r in expected)
+            finally:
+                store.close()
             executed += len(results)
         assert executed == spec.run_count
 
