@@ -108,8 +108,9 @@ check: test bench-smoke adaptive-smoke net-smoke store-smoke phy-smoke docs-chec
 ## split across three share-nothing shards, a merge that must
 ## reassemble the full grid, a wall-time diff against the committed
 ## baseline (loose tolerance across machines) plus a strict gate on a
-## synthetic 2x regression, the adaptive smoke sweep (run + a
-## warm-cache re-run that must execute zero runs), the tcp-executor
+## synthetic 2x regression, the adaptive smoke sweep (run, a
+## warm-cache re-run that must execute zero runs, and a cache-only
+## export whose CSV must byte-match the live run's), the tcp-executor
 ## churn drill (a --connect worker SIGKILLed mid-sweep,
 ## byte-identical artifacts anyway), the result-store smoke (sqlite vs
 ## json byte-equality + migrate), the physical-layer smoke (3x3
@@ -139,11 +140,14 @@ ci: test docs-check protocol-coverage
 	  status=$$?; if [ $$status -ne 1 ]; then \
 	    echo "perf gate: expected exit 1 (regression) on the synthetic 2x slowdown, got $$status"; exit 1; fi
 	$(PYTHON) -m repro.experiments run smoke_adaptive \
-	  --cache-dir $(CI_DIR)/adaptive --format none
+	  --cache-dir $(CI_DIR)/adaptive --out $(CI_DIR)/adaptive-out
 	$(PYTHON) -m repro.experiments run smoke_adaptive \
 	  --cache-dir $(CI_DIR)/adaptive --format none \
 	  | grep -q "; 0 executed +" \
 	  || { echo "adaptive gate: warm-cache re-run executed runs (expected 0)"; exit 1; }
+	$(PYTHON) -m repro.experiments export smoke_adaptive \
+	  --cache-dir $(CI_DIR)/adaptive --out $(CI_DIR)/adaptive-export
+	cmp $(CI_DIR)/adaptive-out/smoke_adaptive.csv $(CI_DIR)/adaptive-export/smoke_adaptive.csv
 	$(MAKE) net-smoke
 	$(MAKE) store-smoke
 	$(MAKE) phy-smoke

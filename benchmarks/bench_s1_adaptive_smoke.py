@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 import tempfile
 
-from repro.experiments.orchestrator import AdaptiveResult, run_sweep_adaptive
+from repro.experiments.orchestrator import SweepReport, sweep
 from repro.experiments.specs import get_spec
 
 from common import print_table
@@ -23,13 +23,14 @@ from common import print_table
 WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", os.cpu_count() or 1)) or 1
 
 
-def run_s1(cache_dir: str) -> AdaptiveResult:
-    return run_sweep_adaptive(
-        get_spec("smoke_adaptive"), workers=max(2, WORKERS), cache_dir=cache_dir
+def run_s1(cache_dir: str) -> SweepReport:
+    spec = get_spec("smoke_adaptive")
+    return sweep(
+        spec, spec.replication, workers=max(2, WORKERS), cache_dir=cache_dir
     )
 
 
-def _check(report: AdaptiveResult) -> None:
+def _check(report: SweepReport) -> None:
     policy = get_spec("smoke_adaptive").replication
     assert report.points, "adaptive smoke expanded to zero grid points"
     for point in report.points:
@@ -50,9 +51,8 @@ def test_s1_adaptive_smoke(benchmark):
 
         # stopping decisions are a pure function of the cache: a second
         # pass reconstructs the identical run set with zero executions
-        again = run_sweep_adaptive(
-            get_spec("smoke_adaptive"), workers=2, cache_dir=cache_dir
-        )
+        spec = get_spec("smoke_adaptive")
+        again = sweep(spec, spec.replication, workers=2, cache_dir=cache_dir)
         assert again.executed == 0
         assert [r.run_id for r in again.results] == [r.run_id for r in report.results]
         assert [p.to_dict() for p in again.points] == [p.to_dict() for p in report.points]

@@ -14,9 +14,14 @@
   declarative :class:`SweepSpec` grids expanded into seeded runs, fanned
   out over ``multiprocessing`` workers, cached on disk by content hash,
   aggregated into :class:`RunResult` records with CSV/JSON export and
-  mean +/- 95% CI summaries; :class:`AdaptiveCI` replication policies
-  grow each grid point's seed set until a target CI half-width is met
-  (:func:`run_sweep_adaptive`).
+  mean +/- 95% CI summaries.  One loop,
+  ``orchestrator.sweep(spec, policy)`` returning a :class:`SweepReport`,
+  runs every sweep: a fixed seed list is a one-round schedule, and an
+  :class:`AdaptiveCI` replication policy grows each grid point's seed
+  set round by round until a target CI half-width is met
+  (:func:`run_sweep` / :func:`load_cached_results` are the fixed-sweep
+  shorthands; the package-level :func:`sweep` is the in-process
+  single-axis runner of :mod:`repro.experiments.runner`).
 * :mod:`repro.experiments.executors` -- registry-driven run-execution
   backends behind :func:`run_sweep`: in-process ``serial`` and the
   default ``process`` pool (the networked ``tcp`` backend lives in
@@ -113,7 +118,7 @@ from repro.experiments.orchestrator import (
     RunSpec,
     RunResult,
     AdaptiveCI,
-    AdaptiveResult,
+    SweepReport,
     PointConvergence,
     GridPoint,
     expand_spec,
@@ -121,8 +126,6 @@ from repro.experiments.orchestrator import (
     point_run,
     adaptive_seed_sequence,
     run_sweep,
-    run_sweep_adaptive,
-    load_adaptive_results,
     execute_run,
     parse_shard,
     shard_runs,
@@ -200,7 +203,7 @@ __all__ = [
     "RunSpec",
     "RunResult",
     "AdaptiveCI",
-    "AdaptiveResult",
+    "SweepReport",
     "PointConvergence",
     "GridPoint",
     "expand_spec",
@@ -208,8 +211,6 @@ __all__ = [
     "point_run",
     "adaptive_seed_sequence",
     "run_sweep",
-    "run_sweep_adaptive",
-    "load_adaptive_results",
     "execute_run",
     "DEFAULT_EXECUTOR",
     "EXECUTORS",

@@ -43,8 +43,10 @@ AdaptiveCI` replication policy runs *adaptively*: each grid point adds
 replication seeds until the 95% CI half-width of the policy's metric
 meets the target (``unconverged`` points are reported when ``max_seeds``
 is exhausted), and ``run`` prints the per-point convergence report.
-``--adaptive``/``--target-ci``/``--ci-metric`` force or override the
-policy from the command line.
+``--target-ci`` overrides the policy's target, or makes a fixed-seed
+sweep adaptive; ``--ci-metric`` picks the metric it applies to.  Every
+subcommand makes one :func:`~repro.experiments.orchestrator.sweep` call,
+fixed or adaptive alike.
 
 ``--shard I/N`` restricts ``run``/``resume`` to a deterministic 1-based
 slice of the grid (of the *grid points* when adaptive, so one point's
@@ -74,7 +76,7 @@ import dataclasses
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.experiments.executors import (
     DEFAULT_EXECUTOR,
@@ -89,19 +91,16 @@ from repro.experiments.net import (
 )
 from repro.experiments.orchestrator import (
     AdaptiveCI,
-    AdaptiveResult,
     RunResult,
     SpecError,
+    SweepReport,
     SweepSpec,
     export_csv,
     export_json,
-    load_adaptive_results,
-    load_cached_results,
     merge_caches,
     parse_shard,
-    run_sweep,
-    run_sweep_adaptive,
     summarize,
+    sweep,
 )
 from repro.experiments.perf import (
     DEFAULT_TOLERANCE,
@@ -200,19 +199,13 @@ def _build_parser() -> argparse.ArgumentParser:
             help="simulated seconds per run, overriding the spec's",
         )
         p.add_argument(
-            "--adaptive",
-            action="store_true",
-            help="use adaptive seed replication (implied when the spec "
-            "carries a replication policy; otherwise requires --target-ci)",
-        )
-        p.add_argument(
             "--target-ci",
             type=float,
             default=None,
             metavar="HALF_WIDTH",
             help="adaptive target: add seeds per grid point until the 95%% CI "
             "half-width of the chosen metric is at most this (overrides the "
-            "spec's policy target)",
+            "spec's policy target; makes a fixed-seed sweep adaptive)",
         )
         p.add_argument(
             "--ci-metric",
@@ -500,26 +493,19 @@ def _adaptive_policy(
     """The adaptive policy this invocation should run under, if any.
 
     A spec-level ``replication`` policy activates adaptively by itself;
-    ``--adaptive`` (or ``--target-ci``) forces the adaptive path for a
-    fixed-seed spec, in which case ``--target-ci`` must supply the
-    target.  ``--target-ci``/``--ci-metric`` override the corresponding
-    policy fields either way.
+    ``--target-ci`` makes a fixed-seed spec adaptive.  ``--target-ci``/
+    ``--ci-metric`` override the corresponding policy fields either way.
     """
     policy = spec.replication
-    target = getattr(args, "target_ci", None)
-    metric = getattr(args, "ci_metric", None)
-    if policy is None and not getattr(args, "adaptive", False) and target is None:
+    target = args.target_ci
+    metric = args.ci_metric
+    if policy is None:
+        if target is not None:
+            return AdaptiveCI(target_half_width=target, metric=metric or "pdr")
         if metric is not None:
             raise CliError("--ci-metric only applies to adaptive runs "
                            "(pass --target-ci, or pick a spec with a policy)")
         return None
-    if policy is None:
-        if target is None:
-            raise CliError(
-                f"sweep {spec.name!r} has no replication policy; --adaptive "
-                "needs --target-ci HALF_WIDTH (and optionally --ci-metric)"
-            )
-        return AdaptiveCI(target_half_width=target, metric=metric or "pdr")
     replacements = {}
     if target is not None:
         replacements["target_half_width"] = target
@@ -528,25 +514,22 @@ def _adaptive_policy(
     return dataclasses.replace(policy, **replacements) if replacements else policy
 
 
-def _write_artifacts(
-    spec: SweepSpec,
-    results: Sequence[RunResult],
-    out_dir: str,
-    fmt: str,
-    name: Optional[str] = None,
-    adaptive: Optional[AdaptiveResult] = None,
-) -> List[str]:
+def _report(spec: SweepSpec, report: SweepReport, args: argparse.Namespace,
+            name: Optional[str] = None) -> None:
+    """Print the summary (and any convergence) table, then write artifacts."""
+    _print_summary(spec, report.results)
+    adaptive = report if report.policy is not None else None
+    if adaptive is not None:
+        _print_convergence(adaptive)
     stem = name or spec.name
-    written: List[str] = []
-    if fmt in ("csv", "both"):
-        path = os.path.join(out_dir, f"{stem}.csv")
-        export_csv(results, path)
-        written.append(path)
-    if fmt in ("json", "both"):
-        path = os.path.join(out_dir, f"{stem}.json")
-        export_json(results, path, spec=spec, adaptive=adaptive)
-        written.append(path)
-    return written
+    if args.format in ("csv", "both"):
+        path = os.path.join(args.out, f"{stem}.csv")
+        export_csv(report.results, path)
+        print(f"wrote {path}")
+    if args.format in ("json", "both"):
+        path = os.path.join(args.out, f"{stem}.json")
+        export_json(report.results, path, spec=spec, adaptive=adaptive)
+        print(f"wrote {path}")
 
 
 def _print_summary(spec: SweepSpec, results: Sequence[RunResult]) -> None:
@@ -567,7 +550,7 @@ def _print_summary(spec: SweepSpec, results: Sequence[RunResult]) -> None:
     print(format_table(display, title=f"{spec.name}: mean ± 95% CI over seeds"))
 
 
-def _print_convergence(adaptive: AdaptiveResult) -> None:
+def _print_convergence(adaptive: SweepReport) -> None:
     policy = adaptive.policy
     rows = [
         {
@@ -760,44 +743,22 @@ def _cmd_run(args: argparse.Namespace, require_cache: bool) -> int:
         # result store stays driver-local and never crosses the wire
         executor_options["host"] = args.host
         executor_options["port"] = args.port
-    policy = _adaptive_policy(spec, args)
-    adaptive: Optional[AdaptiveResult] = None
-    if policy is not None:
-        adaptive = run_sweep_adaptive(
-            spec,
-            workers=args.workers,
-            cache_dir=cache_dir,
-            force=args.force,
-            progress=True,
-            shard=shard,
-            policy=policy,
-            executor=executor,
-            executor_options=executor_options,
-            store=args.store,
-        )
-        results = adaptive.results
-    else:
-        results = run_sweep(
-            spec,
-            workers=args.workers,
-            cache_dir=cache_dir,
-            force=args.force,
-            progress=True,
-            shard=shard,
-            executor=executor,
-            executor_options=executor_options,
-            store=args.store,
-        )
-    _print_summary(spec, results)
-    if adaptive is not None:
-        _print_convergence(adaptive)
+    report = sweep(
+        spec,
+        _adaptive_policy(spec, args),
+        workers=args.workers,
+        cache_dir=cache_dir,
+        force=args.force,
+        progress=True,
+        shard=shard,
+        executor=executor,
+        executor_options=executor_options,
+        store=args.store,
+    )
     # a shard writes suffixed artifacts so it never masquerades as the
     # full result set; `merge`/`export` produce the unsuffixed ones
     stem = f"{spec.name}.shard-{shard[0]}-of-{shard[1]}" if shard else spec.name
-    for path in _write_artifacts(
-        spec, results, args.out, args.format, name=stem, adaptive=adaptive
-    ):
-        print(f"wrote {path}")
+    _report(spec, report, args, name=stem)
     return 0
 
 
@@ -806,19 +767,15 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if not store_exists(args.cache_dir, store=args.store or spec.store):
         print(f"export: no result store at {args.cache_dir!r}", file=sys.stderr)
         return 2
-    policy = _adaptive_policy(spec, args)
-    adaptive: Optional[AdaptiveResult] = None
-    if policy is not None:
-        adaptive, missing_ids = load_adaptive_results(
-            spec, args.cache_dir, policy=policy, store=args.store
-        )
-        results = adaptive.results
-    else:
-        results, missing_ids = load_cached_results(
-            spec, args.cache_dir, store=args.store
-        )
-    missing = len(missing_ids)
-    if not results:
+    report = sweep(
+        spec,
+        _adaptive_policy(spec, args),
+        cache_only=True,
+        cache_dir=args.cache_dir,
+        store=args.store,
+    )
+    missing_ids = report.missing
+    if not report.results:
         print(
             f"export: no cached results for sweep {spec.name!r} "
             "(if the sweep was run with --seeds/--duration overrides, "
@@ -826,17 +783,14 @@ def _cmd_export(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if missing:
+    if missing_ids:
         print(
-            f"export: {missing} run(s) not cached (first: {missing_ids[0]}); "
-            "artifact is partial (use `run` to fill the cache)",
+            f"export: {len(missing_ids)} run(s) not cached (first: "
+            f"{missing_ids[0]}); artifact is partial (use `run` to fill the "
+            "cache)",
             file=sys.stderr,
         )
-    _print_summary(spec, results)
-    if adaptive is not None:
-        _print_convergence(adaptive)
-    for path in _write_artifacts(spec, results, args.out, args.format, adaptive=adaptive):
-        print(f"wrote {path}")
+    _report(spec, report, args)
     return 0
 
 
@@ -857,23 +811,21 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    policy = _adaptive_policy(spec, args)
-    adaptive: Optional[AdaptiveResult] = None
-    if policy is not None:
-        # replay the adaptive stopping rule against the merged cache: the
-        # run set is whatever the per-point CI tests demand, not a static
-        # expansion, and any gap shows up as missing/incomplete below
-        adaptive, missing = load_adaptive_results(
-            spec, args.cache_dir, policy=policy, store=args.store
-        )
-        results = adaptive.results
-        expected = "the adaptive replay"
-    else:
-        results, missing = load_cached_results(
-            spec, args.cache_dir, store=args.store
-        )
-        expected = f"{spec.run_count} runs"
+    # an adaptive replay re-runs the stopping rule against the merged
+    # cache: its run set is whatever the per-point CI tests demand, and
+    # any gap shows up as missing/incomplete below
+    report = sweep(
+        spec,
+        _adaptive_policy(spec, args),
+        cache_only=True,
+        cache_dir=args.cache_dir,
+        store=args.store,
+    )
+    missing = report.missing
     if missing:
+        expected = (
+            "the adaptive replay" if report.policy else f"{spec.run_count} runs"
+        )
         print(
             f"merge: {len(missing)} run(s) of {expected} missing from the "
             f"merged cache (first missing: {missing[0]}); run the remaining "
@@ -881,11 +833,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    _print_summary(spec, results)
-    if adaptive is not None:
-        _print_convergence(adaptive)
-    for path in _write_artifacts(spec, results, args.out, args.format, adaptive=adaptive):
-        print(f"wrote {path}")
+    _report(spec, report, args)
     return 0
 
 

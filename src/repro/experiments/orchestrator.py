@@ -11,14 +11,18 @@ is the engine that executes such grids:
 * :func:`expand_spec` -- turn a spec into concrete :class:`RunSpec`\\ s
   (the cross product of every grid axis and every seed, with
   deterministic per-run RNG seeding).
-* :func:`run_sweep` -- execute the runs through a registered *executor
+* :func:`sweep` -- the one sweep loop: resolve each round's runs against
+  the result cache, execute the misses through a registered *executor
   backend* (:mod:`repro.experiments.executors`: in-process ``serial``, a
   ``process`` pool -- the default -- or the networked ``tcp``
   coordinator whose leased runs any number of worker machines drain),
   with an on-disk result cache keyed by a content hash of (config,
   duration, seed, code version) so re-running a sweep only executes
-  what changed.  The cache itself lives behind a registered *store*
-  backend (:mod:`repro.experiments.stores`: a ``json`` file directory
+  what changed.  A fixed seed list is a one-round schedule; an
+  :class:`AdaptiveCI` policy adds rounds (below).  :func:`run_sweep`
+  and :func:`load_cached_results` are the fixed-sweep shorthands that
+  return plain result lists.  The cache itself lives behind a
+  registered *store* backend (:mod:`repro.experiments.stores`: a ``json`` file directory
   -- the default -- or a single-file columnar ``sqlite`` table).  Both
   backends are sweep-cosmetic: neither the executor nor the store
   enters the cache key, so every combination produces the same cache
@@ -27,8 +31,8 @@ is the engine that executes such grids:
   parameters, the seed, and a flat metrics dictionary.  JSON/CSV export
   via :func:`export_json` / :func:`export_csv`, mean +/- 95% CI
   aggregation via :func:`summarize`.
-* :class:`AdaptiveCI` / :func:`run_sweep_adaptive` -- *adaptive seed
-  replication*: instead of a fixed seed list, each grid point keeps
+* :class:`AdaptiveCI` -- *adaptive seed replication* (``sweep(spec,
+  policy)``): instead of a fixed seed list, each grid point keeps
   adding replication seeds in deterministic batches until the 95% CI
   half-width of a chosen metric falls below a target (or ``max_seeds``
   is reached, recorded as ``unconverged``).  Low-variance points stop
@@ -82,7 +86,7 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar
 
 from repro.experiments.executors import Executor, _log, make_executor
 from repro.experiments.scenarios import PHY_SECTIONS, ScenarioConfig, config_axis_names
@@ -105,6 +109,8 @@ from repro.registry import (
 #: 2: registry-driven scenario assembly -- nested typed per-protocol
 #:    config sections, mobility/radio/mac as first-class config fields.
 CACHE_VERSION = 2
+
+_T = TypeVar("_T")
 
 
 class SweepError(RuntimeError):
@@ -130,7 +136,7 @@ class AdaptiveCI:
     """Adaptive replication policy: add seeds until the CI is tight.
 
     Attached to :attr:`SweepSpec.replication` (or passed to
-    :func:`run_sweep_adaptive` directly), this replaces the fixed
+    :func:`sweep` directly), this replaces the fixed
     ``seeds`` list with *sequential sampling*: every grid point starts
     with ``min_seeds`` replications, and as long as the 95% CI
     half-width of ``metric`` (as :func:`mean_ci95` computes it) exceeds
@@ -373,8 +379,8 @@ class SweepSpec:
     ``replication`` optionally attaches an :class:`AdaptiveCI` policy:
     ``seeds`` then only names the *initial* replications (and remains
     the fixed-seed view :func:`expand_spec` exposes to tooling that needs
-    a static universe); :func:`run_sweep_adaptive` grows each grid
-    point's seed set at runtime until the policy's CI target is met.
+    a static universe); ``sweep(spec, spec.replication)`` grows each
+    grid point's seed set at runtime until the policy's CI target is met.
 
     ``executor`` optionally names a registered execution backend
     (:mod:`repro.experiments.executors`; ``None`` means the default
@@ -405,10 +411,8 @@ class SweepSpec:
 
     @property
     def run_count(self) -> int:
-        count = 1
-        for values in self.grid.values():
-            count *= len(values)
-        return count * len(self.seeds)
+        """Number of runs :func:`expand_spec` yields (a pinned seed counts once)."""
+        return sum(len(point_seeds(self, point)) for point in expand_points(self))
 
     def expand(self) -> List[RunSpec]:
         return expand_spec(self)
@@ -462,11 +466,11 @@ class GridPoint:
 
     Produced by :func:`expand_points`; :func:`point_run` turns a point
     plus one seed into a concrete :class:`RunSpec`.  Fixed-seed expansion
-    (:func:`expand_spec`) and adaptive replication
-    (:func:`run_sweep_adaptive`) share this decomposition -- the adaptive
-    loop grows the *seed* dimension per point while the point set stays
-    static, which is also why adaptive sharding partitions points, not
-    runs (:func:`shard_points`).
+    (:func:`expand_spec`) and the sweep loop (:func:`sweep`) share this
+    decomposition -- under an adaptive policy the loop grows the *seed*
+    dimension per point while the point set stays static, which is also
+    why adaptive sharding partitions points, not runs
+    (:func:`shard_points`).
     """
 
     label: str                        #: stable display label ("a=1,b=2" or "base")
@@ -579,24 +583,31 @@ def point_run(spec: SweepSpec, point: GridPoint, run_seed: int) -> RunSpec:
     )
 
 
+def point_seeds(spec: SweepSpec, point: GridPoint) -> Sequence[int]:
+    """The fixed replication seeds of one grid point.
+
+    An explicit ``"seed"`` axis pins its point to that one seed, so
+    sweeping the seed itself (``runner.sweep(parameter="seed")``) works
+    without colliding with ``spec.seeds``; every other point runs
+    ``spec.seeds`` verbatim, in order, duplicates kept.
+    """
+    if "seed" in point.overrides:
+        return (point.overrides["seed"],)
+    return spec.seeds
+
+
 def expand_spec(spec: SweepSpec) -> List[RunSpec]:
     """Cross product of every grid axis and every seed, in a stable order.
 
-    Point-major: all seeds of the first grid point, then the next point
-    (see :func:`expand_points` for the axis semantics).  An explicit
-    ``"seed"`` axis replaces the replication-seed loop for its point, so
-    sweeping the seed itself (``sweep(parameter="seed")``) works without
-    colliding with ``spec.seeds``.
+    Point-major: all seeds of the first grid point (:func:`point_seeds`),
+    then the next point (see :func:`expand_points` for the axis
+    semantics).
     """
-    runs: List[RunSpec] = []
-    for point in expand_points(spec):
-        seed_values = (
-            (point.overrides["seed"],)
-            if "seed" in point.overrides
-            else spec.seeds
-        )
-        runs.extend(point_run(spec, point, run_seed) for run_seed in seed_values)
-    return runs
+    return [
+        point_run(spec, point, run_seed)
+        for point in expand_points(spec)
+        for run_seed in point_seeds(spec, point)
+    ]
 
 
 def adaptive_seed_sequence(spec: SweepSpec, policy: AdaptiveCI) -> List[int]:
@@ -662,7 +673,7 @@ def _check_shard(index: int, count: int) -> None:
         )
 
 
-def shard_runs(runs: Sequence[RunSpec], index: int, count: int) -> List[RunSpec]:
+def shard_runs(runs: Sequence[_T], index: int, count: int) -> List[_T]:
     """Deterministic 1-based shard ``index`` of ``count`` over ``runs``.
 
     Partitioning is round-robin over the stable :func:`expand_spec` order
@@ -684,8 +695,8 @@ def shard_points(points: Sequence[GridPoint], index: int, count: int) -> List[Gr
     jobs and every job would need the others' results to stop correctly.
     Sharding whole points keeps each job's stopping decisions local and
     deterministic; the merged caches then replay to the exact unsharded
-    result set (:func:`load_adaptive_results`).  Same 1-based round-robin
-    semantics as :func:`shard_runs`.
+    result set (``sweep(spec, policy, cache_only=True)``).  Same 1-based
+    round-robin semantics as :func:`shard_runs`.
     """
     _check_shard(index, count)
     return list(points[index - 1 :: count])
@@ -743,35 +754,27 @@ def load_cached_results(
     store: Optional[str] = None,
     store_options: Optional[Mapping[str, Any]] = None,
 ) -> Tuple[List["RunResult"], List[str]]:
-    """Rehydrate ``spec``'s runs from a result store, running nothing.
+    """Rehydrate ``spec``'s fixed-seed runs from a result store, running nothing.
 
     Returns the cached results in expansion order -- re-labelled with this
     spec's run ids and params, since the cache is keyed by content only --
-    plus the run ids of every cache miss.  ``cache_dir`` is a bare path
-    or a store spec (``"sqlite:runs.db"``); the whole expansion resolves
-    through one batch :meth:`~repro.experiments.stores.ResultStore.scan`.
-    ``version`` addresses an older :data:`CACHE_VERSION` generation;
-    ``shard`` restricts the expansion to one shard.
+    plus the run ids of every cache miss: ``sweep(spec, None,
+    cache_only=True)``.  ``cache_dir`` is a bare path or a store spec
+    (``"sqlite:runs.db"``); ``version`` addresses an older
+    :data:`CACHE_VERSION` generation; ``shard`` restricts the expansion
+    to one shard.
     """
-    cache = _open_cache(cache_dir, spec, store, store_options)
-    runs = expand_spec(spec)
-    if shard is not None:
-        runs = shard_runs(runs, *shard)
-    keyed = [
-        (index, run, run.cache_key(version=version))
-        for index, run in enumerate(runs)
-    ]
-    hits = _resolve_cached(cache, keyed)
-    results: List[RunResult] = []
-    missing: List[str] = []
-    for index, run, _key in keyed:
-        cached = hits.get(index)
-        if cached is None:
-            missing.append(run.run_id)
-        else:
-            _restamp(cached, run)
-            results.append(cached)
-    return results, missing
+    report = sweep(
+        spec,
+        None,
+        cache_only=True,
+        version=version,
+        cache_dir=cache_dir,
+        shard=shard,
+        store=store,
+        store_options=store_options,
+    )
+    return report.results, report.missing
 
 
 def _restamp(result: RunResult, run: RunSpec, adaptive_round: int = 0) -> None:
@@ -983,163 +986,8 @@ def _log_churn(backend: Optional[Executor], label: str, progress: bool) -> None:
         _log(progress, f"[{label}] churn: {stats.describe()}")
 
 
-def _execute_pending(
-    pending: Sequence[tuple],
-    workers: int,
-    record: Callable[[Any, RunResult], None],
-    label: str,
-    progress: bool,
-    executor: Executor,
-) -> List[tuple]:
-    """Execute ``(key, RunSpec)`` pairs on ``executor``, calling ``record``
-    per result.
-
-    The shared engine under :func:`run_sweep` and the adaptive loop; the
-    caller owns (and closes) the backend.  Every backend honours the same
-    drain contract: completed work is always recorded (and thereby
-    cached) even when other runs fail, failures are logged through the
-    same progress stream, and the ``(run_id, exception)`` failures are
-    returned for the caller to raise on.
-    """
-    failures: List[tuple] = []
-
-    def fail(run: RunSpec, exc: Exception) -> None:
-        failures.append((run.run_id, exc))
-        _log(progress, f"[{label}] FAILED {run.run_id}: {exc!r}")
-
-    if pending:
-        executor.map_runs(
-            list(pending),
-            execute_run,
-            record,
-            fail,
-            workers=workers,
-            label=label,
-            progress=progress,
-        )
-    return failures
-
-
-def run_sweep(
-    spec: SweepSpec,
-    workers: int = 1,
-    cache_dir: Optional[str] = None,
-    force: bool = False,
-    progress: bool = False,
-    shard: Optional[Tuple[int, int]] = None,
-    executor: Optional[str] = None,
-    executor_options: Optional[Mapping[str, Any]] = None,
-    store: Optional[str] = None,
-    store_options: Optional[Mapping[str, Any]] = None,
-) -> List[RunResult]:
-    """Execute every run of ``spec`` and return results in expansion order.
-
-    ``executor`` names the registered execution backend (overriding
-    ``spec.executor``; default ``process``), resolved eagerly -- an
-    unknown name raises :class:`~repro.registry.RegistryError` listing
-    the alternatives before anything executes.  ``executor_options`` are
-    backend keyword arguments (the ``tcp`` backend takes ``host``/
-    ``port`` etc.).  ``workers`` is the backend's parallelism: pool size
-    for ``process``, locally spawned worker processes for ``tcp`` (0 =
-    externally attached workers only), ignored by ``serial``.  The
-    backend never enters cache keys or artifacts, so results are
-    byte-identical across executors.
-
-    With ``cache_dir`` set, completed runs are persisted and later
-    invocations only execute cache misses (``force=True`` re-runs
-    everything and refreshes the cache).  Deterministic seeding makes
-    this safe: a cached result is bit-identical to re-running the same
-    spec and seed.  ``cache_dir`` is a bare path (the ``json`` backend),
-    a store spec like ``"sqlite:runs.db"``, or an open
-    :class:`~repro.experiments.stores.ResultStore`; ``store`` names the
-    backend explicitly (overriding ``spec.store``) and ``store_options``
-    are backend keyword arguments.  Like the executor, the store never
-    enters cache keys or artifacts.
-
-    ``shard=(index, count)`` executes only that 1-based shard of the
-    expansion (see :func:`shard_runs`): ``count`` jobs sharing nothing but
-    ``cache_dir`` cover the grid exactly once, after which
-    :func:`merge_caches` (or any single job reading the shared cache)
-    reassembles the full result set.
-    """
-    runs = expand_spec(spec)
-    label = spec.name
-    if shard is not None:
-        runs = shard_runs(runs, *shard)
-        label = f"{spec.name} shard {shard[0]}/{shard[1]}"
-    validate_runs(runs)
-    backend = make_executor(executor or spec.executor, **dict(executor_options or {}))
-    try:
-        cache = _open_cache(cache_dir, spec, store, store_options)
-
-        results: Dict[int, RunResult] = {}
-        pending: List[tuple] = []          # (index, RunSpec)
-        keyed = [(index, run, run.cache_key()) for index, run in enumerate(runs)]
-        hits = (
-            _resolve_cached(cache, keyed)  # one batch scan, not N point reads
-            if cache is not None and not force
-            else {}
-        )
-        for index, run, _key in keyed:
-            cached = hits.get(index)
-            if cached is not None:
-                _restamp(cached, run)      # cosmetic: report under this sweep's id
-                results[index] = cached
-            else:
-                pending.append((index, run))
-
-        hit_count = len(runs) - len(pending)
-        _log(
-            progress,
-            f"[{label}] {len(runs)} runs: {hit_count} cache hits, "
-            f"{len(pending)} to execute on {backend.describe(workers)}",
-        )
-
-        done = 0
-
-        def record(index: int, result: RunResult) -> None:
-            nonlocal done
-            results[index] = result
-            if cache is not None:
-                cache.put(result.cache_key, result)
-            done += 1
-            pdr = result.metrics.get("pdr")
-            pdr_note = f" pdr={pdr:.3f}" if isinstance(pdr, float) else ""
-            _log(
-                progress,
-                f"[{label}] ({done}/{len(pending)}) {result.run_id}"
-                f"{pdr_note} ({result.wall_time:.1f}s)",
-            )
-
-        failures = _execute_pending(
-            pending, workers, record, label, progress, executor=backend
-        )
-    finally:
-        backend.close()
-
-    _log_churn(backend, label, progress)
-    if failures:
-        completed = len(runs) - len(failures)
-        detail = "; ".join(f"{run_id}: {exc!r}" for run_id, exc in failures[:5])
-        if len(failures) > 5:
-            detail += f"; ... {len(failures) - 5} more"
-        raise SweepError(
-            f"{len(failures)} of {len(runs)} runs failed in sweep {label!r} "
-            f"({completed} completed"
-            + (", cached -- a re-run resumes from them" if cache is not None else "")
-            + f"): {detail}"
-        )
-
-    _warn_corrupt(cache, label, progress)
-    _log(
-        progress,
-        f"[{label}] done: {hit_count} cached + {len(pending)} executed",
-    )
-    return [results[i] for i in range(len(runs))]
-
-
 # ---------------------------------------------------------------------------
-# Adaptive replication
+# The sweep loop
 # ---------------------------------------------------------------------------
 
 
@@ -1161,24 +1009,27 @@ class PointConvergence:
 
 
 @dataclass
-class AdaptiveResult:
-    """Everything an adaptive sweep produced.
+class SweepReport:
+    """Everything one :func:`sweep` produced.
 
     ``results`` is the flat run list in deterministic order (grid points
-    in :func:`expand_points` order, each point's seeds in
-    :func:`adaptive_seed_sequence` order), ``points`` the per-point
-    convergence verdicts.  ``executed``/``cached`` count this
-    invocation's work; ``fixed_equivalent_runs`` is what the same grid
-    would have cost with ``max_seeds`` everywhere -- the budget adaptive
-    stopping saves.
+    in :func:`expand_points` order, each point's seeds in schedule
+    order).  ``policy`` is the adaptive policy the sweep ran under, or
+    ``None`` for a fixed seed list; ``points`` holds the per-point
+    convergence verdicts of an adaptive sweep (empty for a fixed one).
+    ``executed``/``cached`` count this invocation's work, and ``missing``
+    names the runs a ``cache_only`` replay found no cached result for.
+    ``fixed_equivalent_runs`` is what an adaptive grid would have cost
+    with ``max_seeds`` everywhere -- the budget adaptive stopping saves.
     """
 
     sweep: str
-    policy: AdaptiveCI
+    policy: Optional[AdaptiveCI]
     results: List[RunResult] = field(default_factory=list)
     points: List[PointConvergence] = field(default_factory=list)
     executed: int = 0
     cached: int = 0
+    missing: List[str] = field(default_factory=list)
 
     @property
     def converged(self) -> List[PointConvergence]:
@@ -1193,7 +1044,7 @@ class AdaptiveResult:
         return len(self.points) * self.policy.max_seeds
 
     def to_dict(self) -> Dict[str, Any]:
-        """The convergence report block embedded in JSON artifacts."""
+        """The convergence report block embedded in adaptive JSON artifacts."""
         return {
             "sweep": self.sweep,
             "policy": dataclasses.asdict(self.policy),
@@ -1226,187 +1077,258 @@ def _metric_values(
     return values
 
 
-def _adaptive_sweep(
+def sweep(
     spec: SweepSpec,
-    policy: AdaptiveCI,
-    workers: int,
-    cache: Optional[ResultStore],
-    force: bool,
-    progress: bool,
-    shard: Optional[Tuple[int, int]],
-    cache_only: bool,
-    version: Optional[int],
-    backend: Optional[Executor] = None,
-) -> Tuple[AdaptiveResult, List[str]]:
-    """The sequential-sampling loop shared by live runs and cache replay.
+    policy: Optional[AdaptiveCI],
+    *,
+    cache_only: bool = False,
+    version: Optional[int] = None,
+    workers: int = 1,
+    cache_dir: Optional[Any] = None,
+    force: bool = False,
+    progress: bool = False,
+    shard: Optional[Tuple[int, int]] = None,
+    executor: Optional[Any] = None,
+    executor_options: Optional[Mapping[str, Any]] = None,
+    store: Optional[str] = None,
+    store_options: Optional[Mapping[str, Any]] = None,
+) -> SweepReport:
+    """Run ``spec`` round by round against the result cache; the one sweep loop.
 
-    Every round schedules the next seed block for each still-active grid
-    point (sized by the policy's -- possibly variance-aware -- batching),
-    resolves it against the cache, executes the misses through the chosen
-    executor backend (or, with ``cache_only``, records them as missing
-    and marks the point ``incomplete``), then re-tests each point's CI
-    half-width.  Stopping decisions -- batch growth included -- depend
-    only on the deterministic seed schedule and the per-run results, so a
-    replay over a warm (or merged shard) cache reproduces the exact run
-    set without executing anything.
+    Every round schedules a seed block per active grid point, resolves
+    it against the cache (one batch scan), executes the misses through
+    the executor backend -- or, with ``cache_only``, records them in
+    :attr:`SweepReport.missing` and executes nothing -- and records each
+    result.
+
+    ``policy=None`` is a *fixed* sweep: one round holding every run of
+    :func:`expand_spec` (each point's :func:`point_seeds`), and
+    ``shard=(index, count)`` selects that round's runs round-robin over
+    the expansion order (:func:`shard_runs`).  With an
+    :class:`AdaptiveCI` policy each point starts at ``min_seeds``
+    replications from :func:`adaptive_seed_sequence` and gains
+    ``batch`` more per round -- multiplied by ``growth`` while its
+    half-width is still more than twice the target -- until the 95% CI
+    half-width of ``policy.metric`` is at most the target
+    (``converged``) or ``max_seeds`` is spent (``unconverged``); a point
+    whose scheduled block a replay cannot find is ``incomplete``.
+    Adaptive sweeps shard whole grid points (:func:`shard_points`) and
+    reject a ``seed`` axis.  Stopping decisions depend only on the seed
+    schedule and the per-run results, so a warm (or merged shard) cache
+    reproduces the exact run set with zero executions.
+
+    ``executor`` names the registered execution backend (overriding
+    ``spec.executor``; default ``process``) or is an
+    :class:`~repro.experiments.executors.Executor` instance, resolved
+    eagerly -- an unknown name raises
+    :class:`~repro.registry.RegistryError` before anything executes.
+    ``executor_options`` are backend keyword arguments (``host``/``port``
+    for ``tcp``); ``workers`` is the backend's parallelism.  One backend
+    instance serves every round, so tcp workers stay attached.
+
+    ``cache_dir`` is a bare path (the ``json`` backend), a store spec
+    like ``"sqlite:runs.db"``, or an open
+    :class:`~repro.experiments.stores.ResultStore`; ``store`` names the
+    backend explicitly (overriding ``spec.store``) and ``store_options``
+    are backend keyword arguments.  ``force=True`` ignores cached
+    results and refreshes them; ``version`` reads an older
+    :data:`CACHE_VERSION` generation.  Neither executor nor store enters
+    cache keys or artifacts.
+
+    Failed runs are drained and every completed run recorded (and
+    cached) before :class:`SweepError` is raised, so a re-run resumes.
     """
     points = expand_points(spec)
-    for point in points:
-        if "seed" in point.overrides:
-            raise SpecError(
-                f"adaptive sweep {spec.name!r}: grid point {point.label!r} "
-                "pins an explicit 'seed' override; adaptive replication "
-                "drives the seed dimension itself, so a seed axis cannot "
-                "be combined with it"
-            )
-    label = f"{spec.name} adaptive"
+    label = spec.name
+    if policy is None:
+        seed_lists = [point_seeds(spec, point) for point in points]
+    else:
+        for point in points:
+            if "seed" in point.overrides:
+                raise SpecError(
+                    f"adaptive sweep {spec.name!r}: grid point {point.label!r} "
+                    "pins an explicit 'seed' override; adaptive replication "
+                    "drives the seed dimension itself, so a seed axis cannot "
+                    "be combined with it"
+                )
+        label += " adaptive"
+        if shard is not None:
+            points = shard_points(points, *shard)
+        seed_lists = [adaptive_seed_sequence(spec, policy)] * len(points)
     if shard is not None:
-        points = shard_points(points, *shard)
-        label = f"{spec.name} adaptive shard {shard[0]}/{shard[1]}"
-    seeds = adaptive_seed_sequence(spec, policy)
+        label += f" shard {shard[0]}/{shard[1]}"
 
     collected: List[List[RunResult]] = [[] for _ in points]
     rounds: List[int] = [0] * len(points)
     status: List[str] = [""] * len(points)
     #: next seed-batch size per point; grows under a variance-aware policy
-    batch_size: List[int] = [policy.batch] * len(points)
-    missing: List[str] = []
-    report = AdaptiveResult(sweep=spec.name, policy=policy)
+    batch_size: List[int] = [policy.batch if policy else 0] * len(points)
+    report = SweepReport(sweep=spec.name, policy=policy)
 
-    active = list(range(len(points)))
-    validated = False
-    round_idx = 0
-    while active:
-        # 1. schedule this round's seed block per active point.  The
-        # stamped provenance is the scheduling round itself: positional
-        # under fixed batching, and still deterministic under
-        # variance-aware growth (batch sizes derive from cached results),
-        # so live runs, cache hits and replays all stamp the same rounds.
-        scheduled: List[Tuple[Tuple[int, int], RunSpec]] = []
-        for pi in active:
-            have = len(collected[pi])
-            want = (
-                policy.min_seeds
-                if round_idx == 0
-                else min(have + batch_size[pi], policy.max_seeds)
-            )
-            scheduled.extend(
-                ((pi, si), point_run(spec, points[pi], seeds[si]))
-                for si in range(have, want)
-            )
-        if not validated:
-            validate_runs([run for _key, run in scheduled])
-            validated = True
-
-        # 2. resolve against the cache (one batch scan per round); collect
-        # what must execute
-        staged: Dict[Tuple[int, int], RunResult] = {}
-        pending: List[Tuple[Tuple[int, int], RunSpec]] = []
-        incomplete = set()
-        keyed = [
-            (key, run, run.cache_key(version=version)) for key, run in scheduled
+    def block(pi: int, want: int) -> List[Tuple[Tuple[int, int], RunSpec]]:
+        """Point ``pi``'s next seeds up to ``want`` in all, keyed (point, seed index)."""
+        return [
+            ((pi, si), point_run(spec, points[pi], seed_lists[pi][si]))
+            for si in range(len(collected[pi]), want)
         ]
-        hits = (
-            _resolve_cached(cache, keyed)
-            if cache is not None and not force
-            else {}
-        )
-        for key, run, _ck in keyed:
-            cached = hits.get(key)
-            if cached is not None:
-                _restamp(cached, run, adaptive_round=round_idx)
-                staged[key] = cached
-                report.cached += 1
-            elif cache_only:
-                missing.append(run.run_id)
-                incomplete.add(key[0])
-            else:
-                pending.append((key, run))
 
-        _log(
-            progress,
-            f"[{label}] round {round_idx}: {len(active)} point(s) active, "
-            f"{len(scheduled)} run(s): {len(scheduled) - len(pending)} cache "
-            f"hits, {len(pending)} to execute on "
-            + (
-                backend.describe(workers)
-                if backend is not None
-                else f"{max(1, workers)} worker(s)"
-            ),
-        )
+    # round 0: every fixed run, or each point's initial adaptive block
+    active = list(range(len(points)))
+    scheduled = [
+        entry
+        for pi in active
+        for entry in block(pi, policy.min_seeds if policy else len(seed_lists[pi]))
+    ]
+    if policy is None and shard is not None:
+        scheduled = shard_runs(scheduled, *shard)
+    # a typo'd component or hook fails here, before any store is created
+    validate_runs([run for _key, run in scheduled])
 
-        # 3. execute the misses (never entered during cache-only replay)
-        done = 0
-
-        def record(key: Tuple[int, int], result: RunResult) -> None:
-            nonlocal done
-            result.adaptive_round = round_idx
-            staged[key] = result
-            if cache is not None:
-                cache.put(result.cache_key, result)
-            done += 1
+    backend = None
+    if not cache_only:
+        backend = make_executor(executor or spec.executor, **dict(executor_options or {}))
+    round_idx = 0
+    try:
+        cache = _open_cache(cache_dir, spec, store, store_options)
+        while active:
+            # 1. resolve the round against the cache.  The stamped
+            # provenance is the scheduling round itself (0 for every
+            # fixed run), derived from cached results only, so live
+            # runs, cache hits and replays all stamp the same rounds.
+            keyed = [
+                (key, run, run.cache_key(version=version)) for key, run in scheduled
+            ]
+            hits = (
+                _resolve_cached(cache, keyed)  # one batch scan, not N point reads
+                if cache is not None and not force
+                else {}
+            )
+            staged: Dict[Tuple[int, int], RunResult] = {}
+            pending: List[Tuple[Tuple[int, int], RunSpec]] = []
+            for key, run, _ck in keyed:
+                cached = hits.get(key)
+                if cached is not None:
+                    _restamp(cached, run, adaptive_round=round_idx)
+                    staged[key] = cached
+                elif cache_only:
+                    report.missing.append(run.run_id)
+                else:
+                    pending.append((key, run))
+            report.cached += len(staged)
             _log(
                 progress,
-                f"[{label}] ({done}/{len(pending)}) {result.run_id} "
-                f"({result.wall_time:.1f}s)",
+                f"[{label}] "
+                + (f"round {round_idx}: {len(active)} point(s) active, " if policy else "")
+                + f"{len(scheduled)} runs: {len(staged)} cache hits, "
+                f"{len(pending)} to execute on "
+                + (backend.describe(workers) if backend else "no backend (cache only)"),
             )
 
-        failures = _execute_pending(
-            pending, workers, record, label, progress, executor=backend
-        )
-        report.executed += len(pending) - len(failures)
-        if failures:
-            detail = "; ".join(f"{rid}: {exc!r}" for rid, exc in failures[:5])
-            if len(failures) > 5:
-                detail += f"; ... {len(failures) - 5} more"
-            raise SweepError(
-                f"{len(failures)} of {len(scheduled)} runs failed in round "
-                f"{round_idx} of adaptive sweep {label!r}"
-                + (
-                    " (completed runs are cached -- a re-run resumes from them)"
-                    if cache is not None
-                    else ""
-                )
-                + f": {detail}"
-            )
+            # 2. execute the misses (never entered during a cache-only replay)
+            done = 0
+            failures: List[Tuple[str, Exception]] = []
 
-        # 4. fold the round's results in and re-test each point's CI
-        round_idx += 1
-        next_active = []
-        for pi in active:
-            rounds[pi] += 1
-            si = len(collected[pi])
-            while (pi, si) in staged:
-                collected[pi].append(staged[(pi, si)])
-                si += 1
-            if pi in incomplete:
-                status[pi] = "incomplete"
-                continue
-            values = _metric_values(collected[pi], policy, spec.name)
-            _mean, half_width = mean_ci95(values)
-            if half_width <= policy.target_half_width:
-                status[pi] = "converged"
+            def record(key: Tuple[int, int], result: RunResult) -> None:
+                nonlocal done
+                result.adaptive_round = round_idx
+                staged[key] = result
+                if cache is not None:
+                    cache.put(result.cache_key, result)
+                done += 1
+                pdr = result.metrics.get("pdr")
+                pdr_note = f" pdr={pdr:.3f}" if isinstance(pdr, float) else ""
                 _log(
                     progress,
-                    f"[{label}] {points[pi].label}: converged with "
-                    f"{len(values)} seed(s) (half-width {half_width:g} <= "
-                    f"{policy.target_half_width:g})",
+                    f"[{label}] ({done}/{len(pending)}) {result.run_id}"
+                    f"{pdr_note} ({result.wall_time:.1f}s)",
                 )
-            elif len(collected[pi]) >= policy.max_seeds:
-                status[pi] = "unconverged"
-                _log(
-                    progress,
-                    f"[{label}] {points[pi].label}: UNCONVERGED at max_seeds="
-                    f"{policy.max_seeds} (half-width {half_width:g} > "
-                    f"{policy.target_half_width:g})",
+
+            def fail(run: RunSpec, exc: Exception) -> None:
+                failures.append((run.run_id, exc))
+                _log(progress, f"[{label}] FAILED {run.run_id}: {exc!r}")
+
+            if pending:
+                backend.map_runs(
+                    pending,
+                    execute_run,
+                    record,
+                    fail,
+                    workers=workers,
+                    label=label,
+                    progress=progress,
                 )
-            else:
-                batch_size[pi] = policy.next_batch(batch_size[pi], half_width)
-                next_active.append(pi)
-        active = next_active
+            report.executed += len(pending) - len(failures)
+            if failures:
+                detail = "; ".join(f"{rid}: {exc!r}" for rid, exc in failures[:5])
+                if len(failures) > 5:
+                    detail += f"; ... {len(failures) - 5} more"
+                raise SweepError(
+                    f"{len(failures)} of {len(scheduled)} runs failed in "
+                    + (f"round {round_idx} of " if policy else "")
+                    + f"sweep {label!r} ({len(scheduled) - len(failures)} completed"
+                    + (", cached -- a re-run resumes from them" if cache is not None else "")
+                    + f"): {detail}"
+                )
+
+            # 3. fold the round in, in schedule order.  A fixed replay
+            # skips its misses; an adaptive point stops at its first
+            # one, since its stopping rule cannot be replayed past it.
+            gapped = set()
+            for key, _run in scheduled:
+                pi = key[0]
+                if key not in staged:
+                    gapped.add(pi)
+                elif policy is None or pi not in gapped:
+                    collected[pi].append(staged[key])
+            round_idx += 1
+            if policy is None:
+                break
+
+            # 4. re-test each point's CI and schedule the next round
+            next_active = []
+            for pi in active:
+                rounds[pi] += 1
+                if pi in gapped:
+                    status[pi] = "incomplete"
+                    continue
+                values = _metric_values(collected[pi], policy, spec.name)
+                _mean, half_width = mean_ci95(values)
+                if half_width <= policy.target_half_width:
+                    status[pi] = "converged"
+                    _log(
+                        progress,
+                        f"[{label}] {points[pi].label}: converged with "
+                        f"{len(values)} seed(s) (half-width {half_width:g} <= "
+                        f"{policy.target_half_width:g})",
+                    )
+                elif len(collected[pi]) >= policy.max_seeds:
+                    status[pi] = "unconverged"
+                    _log(
+                        progress,
+                        f"[{label}] {points[pi].label}: UNCONVERGED at max_seeds="
+                        f"{policy.max_seeds} (half-width {half_width:g} > "
+                        f"{policy.target_half_width:g})",
+                    )
+                else:
+                    batch_size[pi] = policy.next_batch(batch_size[pi], half_width)
+                    next_active.append(pi)
+            active = next_active
+            scheduled = [
+                entry
+                for pi in active
+                for entry in block(
+                    pi, min(len(collected[pi]) + batch_size[pi], policy.max_seeds)
+                )
+            ]
+    finally:
+        if backend is not None:
+            backend.close()
+            _log_churn(backend, label, progress)
 
     for pi, point in enumerate(points):
         report.results.extend(collected[pi])
+        if policy is None:
+            continue
         if collected[pi] and status[pi] != "incomplete":
             mean, half_width = mean_ci95(
                 _metric_values(collected[pi], policy, spec.name)
@@ -1426,116 +1348,54 @@ def _adaptive_sweep(
             )
         )
     _warn_corrupt(cache, label, progress)
-    _log_churn(backend, label, progress)
-    _log(
-        progress,
-        f"[{label}] done: {len(report.converged)}/{len(points)} point(s) "
-        f"converged in {round_idx} round(s); {report.executed} executed + "
-        f"{report.cached} cached = {len(report.results)} runs "
-        f"(fixed grid at max_seeds: {report.fixed_equivalent_runs})",
-    )
-    return report, missing
+    summary = f"[{label}] done: {report.cached} cached + {report.executed} executed"
+    if policy is not None:
+        summary += (
+            f" = {len(report.results)} runs; {len(report.converged)}/"
+            f"{len(points)} point(s) converged in {round_idx} round(s) "
+            f"(fixed grid at max_seeds: {report.fixed_equivalent_runs})"
+        )
+    _log(progress, summary)
+    return report
 
 
-def run_sweep_adaptive(
+def run_sweep(
     spec: SweepSpec,
     workers: int = 1,
     cache_dir: Optional[str] = None,
     force: bool = False,
     progress: bool = False,
     shard: Optional[Tuple[int, int]] = None,
-    policy: Optional[AdaptiveCI] = None,
     executor: Optional[str] = None,
     executor_options: Optional[Mapping[str, Any]] = None,
     store: Optional[str] = None,
     store_options: Optional[Mapping[str, Any]] = None,
-) -> AdaptiveResult:
-    """Execute ``spec`` under adaptive replication and return the report.
+) -> List[RunResult]:
+    """Execute every fixed-seed run of ``spec``; results in expansion order.
 
-    ``policy`` overrides ``spec.replication`` (one of the two must be
-    set).  Each grid point starts at ``policy.min_seeds`` replications
-    and grows by ``policy.batch`` per round -- multiplied by
-    ``policy.growth`` while the point's half-width is still more than
-    twice the target -- until the 95% CI half-width of ``policy.metric``
-    is at most ``policy.target_half_width`` or ``max_seeds`` is exhausted
-    (``unconverged``).  The content-hash cache is consulted before every
-    execution, so resuming, re-running, and replaying merged shard caches
-    all cost zero executions once warm.
-
-    ``executor``/``executor_options`` choose the execution backend
-    exactly as in :func:`run_sweep` (one backend instance serves every
-    adaptive round, so tcp workers stay attached across rounds);
-    ``store``/``store_options`` choose the result-store backend exactly
-    as in :func:`run_sweep`.
-
-    ``shard=(index, count)`` restricts the sweep to a round-robin shard
-    of the *grid points* (seeds of one point never split across jobs --
-    see :func:`shard_points`); shard jobs sharing nothing but merged
-    caches reproduce the unsharded result set exactly.
+    ``sweep(spec, None, ...).results`` -- see :func:`sweep` for the
+    arguments.  With ``cache_dir`` set, completed runs are persisted and
+    later invocations only execute cache misses; deterministic seeding
+    makes a cached result bit-identical to re-running it.
+    ``shard=(index, count)`` executes only that 1-based shard of the
+    expansion (:func:`shard_runs`): ``count`` jobs sharing nothing but
+    ``cache_dir`` cover the grid exactly once, after which
+    :func:`merge_caches` reassembles the full result set.  An adaptive
+    ``spec.replication`` is ignored here; pass it to :func:`sweep`.
     """
-    policy = policy or spec.replication
-    if policy is None:
-        raise SpecError(
-            f"sweep {spec.name!r} has no adaptive replication policy: attach "
-            "SweepSpec(replication=AdaptiveCI(...)) or pass policy="
-        )
-    backend = make_executor(executor or spec.executor, **dict(executor_options or {}))
-    try:
-        cache = _open_cache(cache_dir, spec, store, store_options)
-        report, _missing = _adaptive_sweep(
-            spec,
-            policy,
-            workers=workers,
-            cache=cache,
-            force=force,
-            progress=progress,
-            shard=shard,
-            cache_only=False,
-            version=None,
-            backend=backend,
-        )
-    finally:
-        backend.close()
-    return report
-
-
-def load_adaptive_results(
-    spec: SweepSpec,
-    cache_dir: str,
-    version: Optional[int] = None,
-    shard: Optional[Tuple[int, int]] = None,
-    policy: Optional[AdaptiveCI] = None,
-    store: Optional[str] = None,
-    store_options: Optional[Mapping[str, Any]] = None,
-) -> Tuple[AdaptiveResult, List[str]]:
-    """Replay an adaptive sweep from a result store, running nothing.
-
-    The adaptive analogue of :func:`load_cached_results`: the stopping
-    rule is re-evaluated against the cached results round by round, so
-    the replay reconstructs exactly the run set a live adaptive sweep
-    produced (this is what ``merge`` and ``export`` use after sharded
-    adaptive jobs).  Returns the report plus the run ids of cache misses;
-    a point whose next scheduled seed block is missing is reported with
-    status ``incomplete``, since its stopping decision cannot be replayed
-    past the gap.
-    """
-    policy = policy or spec.replication
-    if policy is None:
-        raise SpecError(
-            f"sweep {spec.name!r} has no adaptive replication policy: attach "
-            "SweepSpec(replication=AdaptiveCI(...)) or pass policy="
-        )
-    return _adaptive_sweep(
+    return sweep(
         spec,
-        policy,
-        workers=1,
-        cache=_open_cache(cache_dir, spec, store, store_options),
-        force=False,
-        progress=False,
+        None,
+        workers=workers,
+        cache_dir=cache_dir,
+        force=force,
+        progress=progress,
         shard=shard,
-        cache_only=True,
-        version=version,
-    )
+        executor=executor,
+        executor_options=executor_options,
+        store=store,
+        store_options=store_options,
+    ).results
 
 
 # ---------------------------------------------------------------------------
@@ -1616,7 +1476,7 @@ def export_json(
     results: Sequence[RunResult],
     path: str,
     spec: Optional[SweepSpec] = None,
-    adaptive: Optional[AdaptiveResult] = None,
+    adaptive: Optional[SweepReport] = None,
 ) -> None:
     """Write results (and optionally the generating spec) as one JSON document.
 

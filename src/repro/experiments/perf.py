@@ -57,9 +57,8 @@ from repro.experiments.orchestrator import (
     SpecError,
     SweepSpec,
     _format_value,
-    load_adaptive_results,
-    load_cached_results,
     load_json,
+    sweep,
 )
 from repro.experiments.stores import parse_store_spec, store_exists
 
@@ -274,9 +273,9 @@ def load_results(
     ``cache_version`` addresses an older
     :data:`~repro.experiments.orchestrator.CACHE_VERSION` generation
     inside the same store.  A spec carrying an adaptive replication
-    policy is replayed through its stopping rule
-    (:func:`~repro.experiments.orchestrator.load_adaptive_results`), since
-    its run set is not a static expansion.
+    policy is replayed through its stopping rule (one cache-only
+    :func:`~repro.experiments.orchestrator.sweep`), since its run set is
+    not a static expansion.
     """
     prefix, _location = parse_store_spec(path)
     if prefix is not None or os.path.isdir(path):
@@ -288,13 +287,13 @@ def load_results(
             )
         if prefix is not None and not store_exists(path):
             raise SpecError(f"result store {path!r} does not exist")
-        if spec.replication is not None:
-            adaptive, _missing = load_adaptive_results(
-                spec, path, version=cache_version
-            )
-            return adaptive.results
-        results, _missing = load_cached_results(spec, path, version=cache_version)
-        return results
+        return sweep(
+            spec,
+            spec.replication,
+            cache_only=True,
+            version=cache_version,
+            cache_dir=path,
+        ).results
     if cache_version is not None:
         raise SpecError(
             f"{path!r} is a results JSON artifact, not a cache directory; "

@@ -5,8 +5,10 @@ validation, the deterministic per-point seed schedule, per-point stopping
 (zero-variance points stop at ``min_seeds``, noisy ones grow until the
 target or ``max_seeds``), round provenance, that stopping decisions are a
 pure function of the cache (a re-run executes nothing; sharded runs merge
-byte-identically to unsharded), and the CLI surface
-(``--adaptive``/``--target-ci`` plus the convergence report).
+byte-identically to unsharded), and the CLI surface (``--target-ci``
+plus the convergence report).  Adaptive sweeps run through the same
+``sweep(spec, policy)`` loop as fixed ones; ``policy=None`` is the
+one-round fixed schedule.
 """
 
 import dataclasses
@@ -21,12 +23,12 @@ from repro.experiments.orchestrator import (
     SweepSpec,
     adaptive_seed_sequence,
     expand_points,
+    expand_spec,
     export_csv,
-    load_adaptive_results,
     merge_caches,
     register_collector,
-    run_sweep_adaptive,
     shard_points,
+    sweep,
 )
 from repro.experiments.scenarios import ScenarioConfig
 
@@ -136,7 +138,7 @@ class TestAdaptiveStopping:
                 min_seeds=2, max_seeds=6, batch=2,
             ),
         )
-        report = run_sweep_adaptive(spec, workers=1)
+        report = sweep(spec, spec.replication, workers=1)
         assert [p.status for p in report.points] == ["converged", "converged"]
         assert [p.n_seeds for p in report.points] == [2, 2]
         assert all(p.half_width == 0.0 for p in report.points)
@@ -151,7 +153,7 @@ class TestAdaptiveStopping:
                 min_seeds=2, max_seeds=4, batch=1,
             ),
         )
-        report = run_sweep_adaptive(spec, workers=1)
+        report = sweep(spec, spec.replication, workers=1)
         (point,) = report.points
         assert point.status == "unconverged"
         assert point.n_seeds == 4
@@ -166,7 +168,7 @@ class TestAdaptiveStopping:
                 min_seeds=2, max_seeds=8, batch=2,
             ),
         )
-        report = run_sweep_adaptive(spec, workers=1)
+        report = sweep(spec, spec.replication, workers=1)
         assert report.executed < report.fixed_equivalent_runs
         assert report.executed == len(report.results) == 4
 
@@ -179,7 +181,7 @@ class TestAdaptiveStopping:
                 min_seeds=2, max_seeds=4, batch=1,
             ),
         )
-        report = run_sweep_adaptive(spec, workers=1)
+        report = sweep(spec, spec.replication, workers=1)
         assert [r.adaptive_round for r in report.results] == [0, 0, 1, 2]
         assert [r.seed for r in report.results] == [1, 2, 3, 4]
 
@@ -188,7 +190,7 @@ class TestAdaptiveStopping:
             replication=AdaptiveCI(target_half_width=0.1, metric="no_such_metric")
         )
         with pytest.raises(SpecError, match="no_such_metric.*numeric metrics"):
-            run_sweep_adaptive(spec, workers=1)
+            sweep(spec, spec.replication, workers=1)
 
     def test_seed_axis_incompatible(self):
         spec = tiny_spec(
@@ -196,11 +198,21 @@ class TestAdaptiveStopping:
             replication=AdaptiveCI(target_half_width=0.1),
         )
         with pytest.raises(SpecError, match="seed"):
-            run_sweep_adaptive(spec, workers=1)
+            sweep(spec, spec.replication, workers=1)
 
-    def test_missing_policy_raises(self):
-        with pytest.raises(SpecError, match="no adaptive replication policy"):
-            run_sweep_adaptive(tiny_spec(), workers=1)
+    def test_no_policy_is_the_one_round_fixed_sweep(self):
+        # policy=None runs spec.seeds as one round: every run of the
+        # expansion, round 0, no convergence verdicts -- even when the
+        # spec itself carries a policy
+        spec = tiny_spec(replication=AdaptiveCI(target_half_width=0.1))
+        report = sweep(spec, None, workers=1)
+        assert report.policy is None
+        assert [r.run_id for r in report.results] == [
+            r.run_id for r in expand_spec(spec)
+        ]
+        assert {r.adaptive_round for r in report.results} == {0}
+        assert report.points == []
+        assert report.executed == len(report.results) == 4
 
 
 class TestAdaptiveCacheDeterminism:
@@ -211,9 +223,9 @@ class TestAdaptiveCacheDeterminism:
     def test_rerun_against_warm_cache_executes_nothing(self, tmp_path):
         spec = tiny_spec(replication=self.POLICY)
         cache_dir = str(tmp_path / "cache")
-        first = run_sweep_adaptive(spec, workers=2, cache_dir=cache_dir)
+        first = sweep(spec, spec.replication, workers=2, cache_dir=cache_dir)
         assert first.cached == 0
-        second = run_sweep_adaptive(spec, workers=2, cache_dir=cache_dir)
+        second = sweep(spec, spec.replication, workers=2, cache_dir=cache_dir)
         assert second.executed == 0
         assert second.cached == len(first.results)
         assert [r.run_id for r in second.results] == [r.run_id for r in first.results]
@@ -225,8 +237,9 @@ class TestAdaptiveCacheDeterminism:
     def test_replay_reconstructs_run_set_without_executing(self, tmp_path):
         spec = tiny_spec(replication=self.POLICY)
         cache_dir = str(tmp_path / "cache")
-        live = run_sweep_adaptive(spec, workers=1, cache_dir=cache_dir)
-        replay, missing = load_adaptive_results(spec, cache_dir)
+        live = sweep(spec, spec.replication, workers=1, cache_dir=cache_dir)
+        replay = sweep(spec, spec.replication, cache_only=True, cache_dir=cache_dir)
+        missing = replay.missing
         assert missing == []
         assert replay.executed == 0
         assert [r.run_id for r in replay.results] == [r.run_id for r in live.results]
@@ -236,27 +249,31 @@ class TestAdaptiveCacheDeterminism:
 
     def test_replay_of_cold_cache_reports_incomplete_points(self, tmp_path):
         spec = tiny_spec(replication=self.POLICY)
-        replay, missing = load_adaptive_results(spec, str(tmp_path / "empty"))
+        replay = sweep(
+            spec, spec.replication, cache_only=True, cache_dir=str(tmp_path / "empty")
+        )
+        missing = replay.missing
         assert len(missing) == 2 * self.POLICY.min_seeds
         assert all(p.status == "incomplete" for p in replay.points)
         assert replay.results == []
 
     def test_sharded_adaptive_merges_byte_identical(self, tmp_path):
         spec = tiny_spec(replication=self.POLICY)
-        reference = run_sweep_adaptive(spec, workers=1)
+        reference = sweep(spec, spec.replication, workers=1)
 
         shard_dirs = []
         for index in (1, 2):
             shard_dir = str(tmp_path / f"shard{index}")
             shard_dirs.append(shard_dir)
-            partial = run_sweep_adaptive(
-                spec, workers=1, cache_dir=shard_dir, shard=(index, 2)
+            partial = sweep(
+                spec, spec.replication, workers=1, cache_dir=shard_dir, shard=(index, 2)
             )
             assert partial.cached == 0
         merged_dir = str(tmp_path / "merged")
         merge_caches(shard_dirs, merged_dir)
 
-        merged, missing = load_adaptive_results(spec, merged_dir)
+        merged = sweep(spec, spec.replication, cache_only=True, cache_dir=merged_dir)
+        missing = merged.missing
         assert missing == []
         assert [r.run_id for r in merged.results] == [
             r.run_id for r in reference.results
@@ -346,12 +363,6 @@ class TestCliAdaptive:
         assert code == 1
         assert "missing" in capsys.readouterr().err
 
-    def test_adaptive_flag_without_target_is_an_error(self, capsys):
-        from repro.experiments.__main__ import main
-
-        assert main(["run", "smoke", "--adaptive", "--format", "none"]) == 2
-        assert "--target-ci" in capsys.readouterr().err
-
     def test_ci_metric_without_adaptive_is_an_error(self, capsys):
         from repro.experiments.__main__ import main
 
@@ -428,8 +439,8 @@ class TestVarianceAwareBatching:
                 min_seeds=2, max_seeds=8, batch=1, growth=2.0,
             ),
         )
-        fixed_report = run_sweep_adaptive(fixed, workers=1, cache_dir=cache_dir)
-        grown_report = run_sweep_adaptive(grown, workers=1, cache_dir=cache_dir)
+        fixed_report = sweep(fixed, fixed.replication, workers=1, cache_dir=cache_dir)
+        grown_report = sweep(grown, grown.replication, workers=1, cache_dir=cache_dir)
         (fixed_point,) = fixed_report.points
         (grown_point,) = grown_report.points
         assert fixed_point.rounds == 7
@@ -451,7 +462,7 @@ class TestVarianceAwareBatching:
                 min_seeds=2, max_seeds=8, batch=1, growth=2.0,
             ),
         )
-        report = run_sweep_adaptive(spec, workers=1)
+        report = sweep(spec, spec.replication, workers=1)
         # rounds schedule seed blocks of 2, 2 (batch doubled once), then
         # 4 (doubled again, capped by max_seeds)
         assert [r.adaptive_round for r in report.results] == [0, 0, 1, 1, 2, 2, 2, 2]
@@ -466,10 +477,11 @@ class TestVarianceAwareBatching:
             ),
         )
         cache_dir = str(tmp_path / "cache")
-        live = run_sweep_adaptive(spec, workers=1, cache_dir=cache_dir)
-        again = run_sweep_adaptive(spec, workers=1, cache_dir=cache_dir)
+        live = sweep(spec, spec.replication, workers=1, cache_dir=cache_dir)
+        again = sweep(spec, spec.replication, workers=1, cache_dir=cache_dir)
         assert again.executed == 0
-        replay, missing = load_adaptive_results(spec, cache_dir)
+        replay = sweep(spec, spec.replication, cache_only=True, cache_dir=cache_dir)
+        missing = replay.missing
         assert missing == []
         for other in (again, replay):
             assert [r.run_id for r in other.results] == [

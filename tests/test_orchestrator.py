@@ -93,6 +93,12 @@ class TestExpansion:
         assert [r.config.seed for r in runs] == [3, 4]
         assert len({r.run_id for r in runs}) == 2
 
+    def test_run_count_counts_a_pinned_seed_once(self):
+        # list and merge print this count; a seed axis pins one seed per
+        # point, so spec.seeds must not multiply it
+        spec = tiny_spec(grid={"seed": [1, 2, 3]}, seeds=(1, 2))
+        assert spec.run_count == len(expand_spec(spec)) == 3
+
     def test_runner_sweep_over_seed_parameter(self):
         from repro.experiments.runner import sweep
 
